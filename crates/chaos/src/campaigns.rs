@@ -49,8 +49,8 @@ fn objectives(proto: ProtoKind) -> &'static [Objective] {
 
 /// The full search portfolio: every strategy × every supported objective
 /// × both protocols, plus one wire-fault cell per protocol that runs the
-/// same search through the socket-level fault injector on the channel
-/// substrate. Smoke scale is CI-sized (n=16, budget 32); full scale is
+/// same search through the socket-level fault injector on the mesh.
+/// Smoke scale is CI-sized (n=16, budget 32); full scale is
 /// the nightly workload (n=64, budget 256).
 pub fn adversary_portfolio(smoke: bool) -> HuntCampaignSpec {
     let (n, budget, probes) = if smoke { (16, 32, 2) } else { (64, 256, 3) };

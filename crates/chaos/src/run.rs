@@ -22,10 +22,9 @@ use crate::coverage::Coverage;
 use crate::record::{provenance, HuntCampaignRecord, HuntCellResult};
 use crate::spec::{HuntCampaignSpec, HuntCellSpec};
 
-/// Worker threads for wire-fault cells (the channel substrate is where
-/// the injector lives; two workers keep CI cheap while still exercising
-/// real cross-worker framing).
-const WIRE_WORKERS: usize = 2;
+/// Procs for wire-fault cells (the mesh is where the injector lives; two
+/// procs keep CI cheap while still sending real frames over a socket).
+const WIRE_PROCS: usize = 2;
 
 /// Runs one portfolio cell: hunt, shrink, mint the artifact, and account
 /// coverage over everything the search explored.
@@ -37,7 +36,7 @@ pub fn run_hunt_cell(cell: &HuntCellSpec, jobs: usize) -> Result<HuntCellResult,
         .map_err(|e| e.to_string())?
         .max_rounds(round_budget);
     let substrate = if cell.wire {
-        Substrate::Channel(WIRE_WORKERS)
+        Substrate::Mesh(WIRE_PROCS)
     } else {
         Substrate::Engine
     };
@@ -207,10 +206,10 @@ mod tests {
         assert!(art.wire.is_some(), "wire hunts must record a wire plan");
         // The artifact's rendered form keeps the wire section.
         assert!(record.deterministic_render().contains("\"wire\""));
-        // And it replays with the faults re-applied on the channel
-        // substrate as well as ignored on the engine.
+        // And it replays with the faults re-applied on the mesh as well
+        // as ignored on the engine.
         assert!(art.replay(Substrate::Engine).unwrap().ok());
-        assert!(art.replay(Substrate::Channel(2)).unwrap().ok());
+        assert!(art.replay(Substrate::Mesh(2)).unwrap().ok());
     }
 
     #[test]

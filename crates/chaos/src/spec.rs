@@ -34,7 +34,7 @@ pub struct HuntCellSpec {
     /// Hunt seed (drives proposals and the probe panel).
     pub seed: u64,
     /// Also search socket-level wire faults; the cell then runs on the
-    /// channel substrate, where the faults are actually injected.
+    /// mesh, where the faults are actually injected.
     pub wire: bool,
 }
 

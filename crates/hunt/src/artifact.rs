@@ -10,13 +10,14 @@
 //! a concrete adversarial schedule in CI.
 
 use ftc_core::prelude::Params;
+use ftc_mesh::Substrate;
 use ftc_net::prelude::WireFaultPlan;
 use ftc_sim::engine::SimConfig;
 use ftc_sim::json::{Json, JsonError};
 use ftc_sim::prelude::FaultPlan;
 
 use crate::objective::{Bounds, Objective};
-use crate::proto::{observe_wire, Fingerprint, Observation, ProtoKind, Substrate};
+use crate::proto::{observe_wire, Fingerprint, Observation, ProtoKind};
 
 /// Current artifact schema version.
 pub const ARTIFACT_VERSION: u64 = 1;
@@ -270,8 +271,8 @@ mod tests {
         assert!(!art.render().contains("\"wire\""));
         assert_eq!(Artifact::parse(&art.render()).unwrap().wire, None);
         // Present: it renders, round-trips, and replays on both the
-        // engine (where it is ignored) and the channel substrate (where
-        // it perturbs the transport without changing the observation).
+        // engine (where it is ignored) and the mesh (where it perturbs
+        // the transport without changing the observation).
         let mut chaotic = sample_artifact();
         chaotic.wire = Some(
             WireFaultPlan::new(29)
@@ -283,17 +284,17 @@ mod tests {
         assert_eq!(back.render(), chaotic.render());
         let engine = chaotic.replay(Substrate::Engine).unwrap();
         assert!(engine.ok(), "engine replay diverged: {engine:?}");
-        let channel = chaotic.replay(Substrate::Channel(2)).unwrap();
-        assert!(channel.ok(), "channel replay diverged: {channel:?}");
+        let mesh = chaotic.replay(Substrate::Mesh(2)).unwrap();
+        assert!(mesh.ok(), "mesh replay diverged: {mesh:?}");
     }
 
     #[test]
-    fn replay_matches_on_engine_and_channel() {
+    fn replay_matches_on_engine_and_mesh() {
         let art = sample_artifact();
         let engine = art.replay(Substrate::Engine).unwrap();
         assert!(engine.ok(), "engine replay diverged: {engine:?}");
-        let channel = art.replay(Substrate::Channel(2)).unwrap();
-        assert!(channel.ok(), "channel replay diverged: {channel:?}");
+        let mesh = art.replay(Substrate::Mesh(1)).unwrap();
+        assert!(mesh.ok(), "mesh replay diverged: {mesh:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! hunts crash schedules ([`FaultPlan`]s) that falsify a property or blow
 //! a cost bound, shrinks what it finds to a minimal reproducer, and emits
 //! a replayable [`Artifact`] that re-executes bit-for-bit on the sim
-//! engine **and** on the `ftc-net` cluster runtimes — so every
+//! engine **and** on the `ftc-mesh` socket runtime — so every
 //! counterexample the hunt keeps is a real-wire counterexample, and every
 //! committed artifact is a standing CI check.
 //!
@@ -47,9 +47,10 @@ pub mod prelude {
         guided_plan, mutate_plan, mutate_wire_plan, random_plan, random_wire_plan, PlanSpace,
     };
     pub use crate::objective::{Bounds, Objective};
-    pub use crate::proto::{observe, observe_wire, Fingerprint, Observation, ProtoKind, Substrate};
+    pub use crate::proto::{observe, observe_wire, Fingerprint, Observation, ProtoKind};
     pub use crate::search::{
         run_hunt, run_hunt_observed, Candidate, HuntReport, HuntSpec, Strategy,
     };
     pub use crate::shrink::{shrink, ShrinkReport};
+    pub use ftc_mesh::Substrate;
 }

@@ -4,14 +4,14 @@
 //! The search layer is protocol-agnostic — it manipulates schedules and
 //! scores — so this module concentrates everything that knows about
 //! [`LeNode`]/[`AgreeNode`]: constructing node factories, running a
-//! scripted schedule on the sim engine or the `ftc-net` runtimes, and
+//! scripted schedule on the sim engine or the mesh runtime, and
 //! condensing the result into an [`Observation`] with a replay-comparable
 //! [`Fingerprint`].
 
 use ftc_core::prelude::*;
-use ftc_mesh::runtime::{run_over_mesh, run_over_mesh_faulty};
+use ftc_mesh::{RunOpts, Substrate};
 use ftc_net::prelude::*;
-use ftc_sim::engine::{run, RunResult, SimConfig};
+use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::{NodeId, Round};
 use ftc_sim::json::{Json, JsonError};
 use ftc_sim::prelude::{FaultPlan, ScriptedCrash};
@@ -58,19 +58,6 @@ impl ProtoKind {
             ProtoKind::Agree => params.agreement_message_bound(),
         }
     }
-}
-
-/// Which substrate executes the schedule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Substrate {
-    /// The in-process sim engine (`ftc_sim::engine::run`).
-    Engine,
-    /// The `ftc-net` in-process channel mesh with this many workers.
-    Channel(usize),
-    /// The `ftc-net` localhost TCP mesh with this many workers.
-    Tcp(usize),
-    /// The `ftc-mesh` multiplexed socket runtime with this many procs.
-    Mesh(usize),
 }
 
 /// Everything observable about one execution that replay must reproduce.
@@ -260,73 +247,26 @@ pub fn observe_wire(
     substrate: Substrate,
 ) -> Result<Observation, String> {
     let mut adversary = ScriptedCrash::new(plan.clone());
+    let opts = RunOpts {
+        wire_faults: wire,
+        ..RunOpts::default()
+    };
+    let failed = |e: std::io::Error| format!("{substrate} replay: {e}");
     match proto {
         ProtoKind::Le => {
             let factory = |_| LeNode::new(params.clone());
-            let r = match (substrate, wire) {
-                (Substrate::Engine, _) => run(cfg, factory, &mut adversary),
-                (Substrate::Channel(workers), None) => {
-                    run_over_channel(cfg, workers, factory, &mut adversary).run
-                }
-                (Substrate::Channel(workers), Some(w)) => {
-                    run_over_channel_faulty(cfg, workers, factory, &mut adversary, w).run
-                }
-                (Substrate::Tcp(workers), None) => {
-                    run_over_tcp(cfg, workers, factory, &mut adversary)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Tcp(workers), Some(w)) => {
-                    run_over_tcp_faulty(cfg, workers, factory, &mut adversary, w)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), None) => {
-                    run_over_mesh(cfg, procs, factory, &mut adversary)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), Some(w)) => {
-                    run_over_mesh_faulty(cfg, procs, factory, &mut adversary, w)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-            };
-            Ok(le_observation(&r))
+            let r = substrate
+                .run(cfg, factory, &mut adversary, &opts)
+                .map_err(failed)?;
+            Ok(le_observation(&r.run))
         }
         ProtoKind::Agree => {
             let stride = input_stride(zeros);
             let factory = |id: NodeId| AgreeNode::new(params.clone(), agree_input(stride, id));
-            let r = match (substrate, wire) {
-                (Substrate::Engine, _) => run(cfg, factory, &mut adversary),
-                (Substrate::Channel(workers), None) => {
-                    run_over_channel(cfg, workers, factory, &mut adversary).run
-                }
-                (Substrate::Channel(workers), Some(w)) => {
-                    run_over_channel_faulty(cfg, workers, factory, &mut adversary, w).run
-                }
-                (Substrate::Tcp(workers), None) => {
-                    run_over_tcp(cfg, workers, factory, &mut adversary)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Tcp(workers), Some(w)) => {
-                    run_over_tcp_faulty(cfg, workers, factory, &mut adversary, w)
-                        .map_err(|e| format!("tcp replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), None) => {
-                    run_over_mesh(cfg, procs, factory, &mut adversary)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-                (Substrate::Mesh(procs), Some(w)) => {
-                    run_over_mesh_faulty(cfg, procs, factory, &mut adversary, w)
-                        .map_err(|e| format!("mesh replay: {e}"))?
-                        .run
-                }
-            };
-            Ok(agree_observation(&r))
+            let r = substrate
+                .run(cfg, factory, &mut adversary, &opts)
+                .map_err(failed)?;
+            Ok(agree_observation(&r.run))
         }
     }
 }
@@ -383,7 +323,7 @@ mod tests {
             .fault(NodeId(1), 0, WireFaultKind::Duplicate)
             .fault(NodeId(3), 1, WireFaultKind::Duplicate);
         let clean = observe(ProtoKind::Le, &params, &cfg, 0.05, &plan, Substrate::Engine).unwrap();
-        for substrate in [Substrate::Engine, Substrate::Channel(2)] {
+        for substrate in [Substrate::Engine, Substrate::Mesh(1), Substrate::Mesh(2)] {
             let chaotic = observe_wire(
                 ProtoKind::Le,
                 &params,
@@ -399,7 +339,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_channel_observations_agree() {
+    fn engine_and_mesh_observations_agree() {
         let params = Params::new(16, 0.5).unwrap();
         let cfg = SimConfig::new(16)
             .seed(7)
@@ -414,7 +354,7 @@ mod tests {
             &cfg,
             0.05,
             &plan,
-            Substrate::Channel(2),
+            Substrate::Mesh(2),
         )
         .unwrap();
         assert_eq!(engine, cluster);

@@ -22,13 +22,14 @@ use ftc_sim::runner::{ParRunner, TrialPlan};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use ftc_mesh::Substrate;
 use ftc_net::prelude::WireFaultPlan;
 
 use crate::mutate::{
     guided_plan, mutate_plan, mutate_wire_plan, random_plan, random_wire_plan, PlanSpace,
 };
 use crate::objective::{Bounds, Objective};
-use crate::proto::{observe_wire, Observation, ProtoKind, Substrate};
+use crate::proto::{observe_wire, Observation, ProtoKind};
 
 /// Candidates evaluated per generation (the parallelism grain; fixed so
 /// the generation boundaries — and with them the annealing decisions —
@@ -101,8 +102,8 @@ pub struct HuntSpec {
     /// Proposal strategy.
     pub strategy: Strategy,
     /// Which substrate evaluates candidates. [`Substrate::Engine`] is the
-    /// fast default; a net substrate turns every evaluation into a
-    /// differential check of that runtime against the model.
+    /// fast default; the mesh turns every evaluation into a differential
+    /// check of the socket runtime against the model.
     pub substrate: Substrate,
     /// Whether to co-search socket-level [`WireFaultPlan`]s alongside
     /// crash schedules. Wire faults are delivery-preserving, so any hit
@@ -465,15 +466,15 @@ mod tests {
     }
 
     #[test]
-    fn wire_hunts_on_the_channel_substrate_match_clean_engine_hunts() {
-        // Wire faults are delivery-preserving and the channel runtime is
+    fn wire_hunts_on_the_mesh_substrate_match_clean_engine_hunts() {
+        // Wire faults are delivery-preserving and the mesh runtime is
         // bit-identical to the engine, so the chaotic hunt must find the
         // same champion with the same score — the whole point of hunting
         // with --wire-faults is that any divergence here is a runtime bug.
         let mut clean = spec(Strategy::Anneal, Objective::MaxMessages, 1);
         clean.budget = 16;
         let mut chaotic = clean.clone();
-        chaotic.substrate = Substrate::Channel(2);
+        chaotic.substrate = Substrate::Mesh(2);
         chaotic.wire = true;
         let a = run_hunt(&clean).unwrap();
         let b = run_hunt(&chaotic).unwrap();

@@ -14,11 +14,12 @@
 //! 3. **Round minimisation** — binary-search each surviving crash round
 //!    down toward 0 (earlier crashes are simpler stories).
 
+use ftc_mesh::Substrate;
 use ftc_sim::adversary::DeliveryFilter;
 use ftc_sim::prelude::FaultPlan;
 
 use crate::objective::Bounds;
-use crate::proto::{observe, Observation, Substrate};
+use crate::proto::{observe, Observation};
 use crate::search::HuntSpec;
 
 /// What the shrinker did, for reporting.

@@ -445,7 +445,7 @@ pub fn topology_matrix(smoke: bool) -> CampaignSpec {
 }
 
 /// The socket-substrate throughput benchmark: plain LE and agreement at
-/// cluster sizes the per-edge TCP transport could never reach, meant to
+/// cluster sizes one socket per node pair could never reach, meant to
 /// run on the mesh substrate (`--substrate mesh:P`). Message counts are
 /// deterministic and bit-identical to the engine; the diagnostic
 /// `trials_per_s` together with the recorded `wire_bytes` extra gives

@@ -1,16 +1,14 @@
 //! The proc-pair socket fabric: O(procs²) sockets, independent of n.
 //!
-//! The per-edge TCP transport needs `n·(n-1)/2` sockets and `n·(n-1)`
-//! reader threads — fatal past n≈32. The mesh runtime instead opens
-//! exactly **one localhost TCP connection per unordered pair of procs**
-//! (`procs·(procs-1)/2` in total, [`socket_count`]) and multiplexes every
-//! node pair whose endpoints live on those procs over it, so a 1024-node
-//! cluster on 4 procs uses 6 sockets where the per-edge mesh would need
-//! 523,776.
+//! One socket per node pair would need `n·(n-1)/2` sockets — fatal past
+//! n≈64. The mesh runtime instead opens exactly **one localhost TCP
+//! connection per unordered pair of procs** (`procs·(procs-1)/2` in
+//! total, [`socket_count`]) and multiplexes every node pair whose
+//! endpoints live on those procs over it, so a 1024-node cluster on 4
+//! procs uses 6 sockets where a per-edge mesh would need 523,776.
 //!
-//! Setup mirrors `ftc_net::tcp`: one listener per proc, the upper
-//! triangle dialed sequentially with a 4-byte hello naming the dialing
-//! proc, `TCP_NODELAY` everywhere. Streams are then handed to the
+//! Setup: one listener per proc, the upper triangle dialed sequentially
+//! with a 4-byte hello naming the dialing proc, `TCP_NODELAY` everywhere. Streams are then handed to the
 //! nonblocking [`mio`] layer — the readiness loop owns them from there.
 
 use std::io::{self, Read, Write};

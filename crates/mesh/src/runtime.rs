@@ -6,10 +6,10 @@
 //! `procs` threads each own a contiguous-by-residue slice of the nodes
 //! (node `u` lives on proc `u mod procs`) as [`RoundCore`] state
 //! machines. The coordinator — a [`CoordinatorCore`] on the calling
-//! thread — runs the same control plane as the engine and the other
-//! runtimes; commands travel to procs over in-process channels (the
-//! control plane never touches the sockets), and the *data plane* moves
-//! over the fabric as [`crate::wire`] envelopes:
+//! thread — runs the same control plane as the engine; commands travel
+//! to procs over in-process channels (the control plane never touches
+//! the sockets), and the *data plane* moves over the fabric as
+//! [`crate::wire`] envelopes:
 //!
 //! 1. **activate** — each proc activates its alive nodes and submits;
 //! 2. **adjudicate** — the coordinator routes, filters, and answers with
@@ -37,10 +37,10 @@
 //! ## Accounting
 //!
 //! Every transmitted frame — socket or proc-local — charges exactly
-//! [`Frame::encoded_len`], the same rule the channel and TCP runtimes
-//! use, so `wire_bytes` is bit-identical across substrates and process
-//! counts. The envelope's 4-byte `dst` word is transport overhead, not
-//! model traffic, and is excluded (see [`crate::wire`]).
+//! [`Frame::encoded_len`](ftc_net::frame::Frame::encoded_len), so
+//! `wire_bytes` is bit-identical across process counts. The envelope's
+//! 4-byte `dst` word is transport overhead, not model traffic, and is
+//! excluded (see [`crate::wire`]).
 
 use std::io;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -49,8 +49,7 @@ use std::time::{Duration, Instant};
 
 use ftc_net::core::{Command, CoordinatorCore, RoundCore, Submission};
 use ftc_net::fault::{ChunkedWriter, FrameDedup, WireFaultPlan};
-use ftc_net::sync::{NetMetrics, NetRunResult};
-use ftc_net::transport::RECV_TIMEOUT;
+use ftc_net::{NetMetrics, NetRunResult};
 use ftc_sim::adversary::Adversary;
 use ftc_sim::engine::{RunResult, SimConfig};
 use ftc_sim::ids::NodeId;
@@ -60,13 +59,13 @@ use ftc_sim::protocol::Protocol;
 use ftc_sim::round::topology_seed;
 
 use crate::fabric::{self, ProcLinks};
+use crate::substrate::RunOpts;
 use crate::wire::{EnvelopeDecoder, WriteBuf};
 
 /// Opens the proc-pair fabric for `cfg`. On the complete graph every
 /// pair of procs shares traffic, so this is plain [`fabric::build`]; on
 /// a sparse topology a pair gets a socket only when some model edge
-/// crosses between its procs' node slices — the mesh analogue of the TCP
-/// runtime opening one connection per topology edge.
+/// crosses between its procs' node slices.
 fn build_links(cfg: &SimConfig, procs: usize) -> io::Result<Vec<ProcLinks>> {
     if cfg.topology.is_complete() || procs <= 1 {
         return fabric::build(procs);
@@ -89,14 +88,18 @@ fn build_links(cfg: &SimConfig, procs: usize) -> io::Result<Vec<ProcLinks>> {
 const POLL_SLICE: Duration = Duration::from_millis(1);
 
 /// Runs `cfg` over the multiplexed socket mesh with `procs` processes and
-/// the default receive timeout ([`RECV_TIMEOUT`]).
+/// default [`RunOpts`]; [`Substrate::Mesh`](crate::substrate::Substrate)
+/// runs with explicit ones.
 ///
-/// The result is bit-identical to [`ftc_sim::engine::run`] (and to the
-/// channel and TCP runtimes) for the same `(SimConfig, seed)` at any
-/// `procs` — asserted by `tests/net_equivalence.rs`.
+/// The result is bit-identical to [`ftc_sim::engine::run`] for the same
+/// `(SimConfig, seed)` at any `procs` — asserted by
+/// `tests/net_equivalence.rs`.
 ///
-/// Fails if the socket fabric cannot be built; panics on invalid
-/// configurations or mid-run transport failures, like the other runtimes.
+/// More procs than nodes are clamped to `n`. Fails on an invalid
+/// configuration, on zero procs or more than
+/// [`MAX_MESH_PROCS`](fabric::MAX_MESH_PROCS) after clamping, when the
+/// socket fabric cannot be built, and when the run wedges mid-way (a
+/// stalled proc, a malformed frame).
 pub fn run_over_mesh<P, F, A>(
     cfg: &SimConfig,
     procs: usize,
@@ -109,83 +112,18 @@ where
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    run_over_mesh_with(cfg, procs, factory, adversary, RECV_TIMEOUT)
+    run_mesh(cfg, procs, factory, adversary, &RunOpts::default())
 }
 
-/// Like [`run_over_mesh`], but nodes give up after `recv_timeout` when
-/// blocked on a frame (a wedged run fails fast instead of hanging).
-pub fn run_over_mesh_with<P, F, A>(
-    cfg: &SimConfig,
-    procs: usize,
-    factory: F,
-    adversary: &mut A,
-    recv_timeout: Duration,
-) -> io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    run_over_mesh_at_height(cfg, procs, factory, adversary, recv_timeout, 0)
-}
-
-/// Like [`run_over_mesh`], but with a scripted
-/// [`WireFaultPlan`] perturbing the socket layer: transmit bursts are
-/// reordered, duplicated, and delayed per node and round, coalesced
-/// writes are torn into scheduled fragment sizes, and receive edges
-/// dedup frames before they reach the cores. Every v1 wire fault is
-/// delivery-preserving, so the result — including `wire_bytes` and
-/// `frames_sent` — is bit-identical to the faultless run; that is the
-/// property `ftc hunt --wire-faults` attacks.
-pub fn run_over_mesh_faulty<P, F, A>(
-    cfg: &SimConfig,
-    procs: usize,
-    factory: F,
-    adversary: &mut A,
-    wire: &WireFaultPlan,
-) -> io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    run_over_mesh_wired(cfg, procs, factory, adversary, RECV_TIMEOUT, 0, Some(wire))
-}
-
-/// [`run_over_mesh_with`] with every frame tagged as belonging to
-/// election instance `height` (the `ftc-serve` counter); each height gets
-/// a fresh fabric, and a foreign-height frame fails the run loudly.
-pub fn run_over_mesh_at_height<P, F, A>(
-    cfg: &SimConfig,
-    procs: usize,
-    factory: F,
-    adversary: &mut A,
-    recv_timeout: Duration,
-    height: u32,
-) -> io::Result<NetRunResult<P>>
-where
-    P: Protocol,
-    P::Msg: Wire,
-    F: FnMut(NodeId) -> P,
-    A: Adversary<P::Msg> + ?Sized,
-{
-    run_over_mesh_wired(cfg, procs, factory, adversary, recv_timeout, height, None)
-}
-
-/// The shared driver: [`run_over_mesh_at_height`] plus an optional
-/// [`WireFaultPlan`] applied at the adapter boundary (never inside the
-/// cores). `None` is the exact pre-fault code path.
-#[allow(clippy::too_many_arguments)]
-fn run_over_mesh_wired<P, F, A>(
+/// The driver behind [`run_over_mesh`]: every frame is tagged with
+/// `opts.height`, and `opts.wire_faults` is applied at the adapter
+/// boundary (never inside the cores; `None` is the exact faultless path).
+pub(crate) fn run_mesh<P, F, A>(
     cfg: &SimConfig,
     procs: usize,
     mut factory: F,
     adversary: &mut A,
-    recv_timeout: Duration,
-    height: u32,
-    wire: Option<&WireFaultPlan>,
+    opts: &RunOpts<'_>,
 ) -> io::Result<NetRunResult<P>>
 where
     P: Protocol,
@@ -193,16 +131,21 @@ where
     F: FnMut(NodeId) -> P,
     A: Adversary<P::Msg> + ?Sized,
 {
-    cfg.validate().expect("invalid SimConfig");
-    assert!(cfg.max_rounds > 0, "cluster runs need at least one round");
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    cfg.validate()
+        .map_err(|e| invalid(format!("invalid SimConfig: {e}")))?;
+    if cfg.max_rounds == 0 {
+        return Err(invalid("cluster runs need at least one round".into()));
+    }
+    let (height, wire) = (opts.height, opts.wire_faults);
     let nn = cfg.n as usize;
-    let procs = procs.clamp(1, nn.min(fabric::MAX_MESH_PROCS));
+    let procs = procs.min(nn);
     let links = build_links(cfg, procs)?;
 
     let mut coord = CoordinatorCore::<P::Msg>::new(cfg, height, adversary);
 
-    // Nodes in id order through the factory (same call order as every
-    // other runtime), then partitioned by residue.
+    // Nodes in id order through the factory (same call order as the
+    // engine), then partitioned by residue.
     let mut pools: Vec<Vec<RoundCore<P>>> = (0..procs).map(|_| Vec::new()).collect();
     for i in 0..nn {
         let id = NodeId(i as u32);
@@ -222,17 +165,16 @@ where
     let mut failure: Option<String> = None;
 
     thread::scope(|scope| {
-        let mut link_iter = links.into_iter();
-        for (index, pool) in pools.into_iter().enumerate() {
+        for (index, (pool, links)) in pools.into_iter().zip(links).enumerate() {
             let (tx, rx) = channel();
             batch_txs.push(tx);
             let proc = Proc {
                 index,
                 procs,
                 nodes: pool,
-                links: link_iter.next().expect("one link set per proc"),
+                links,
                 batches: rx,
-                recv_timeout,
+                recv_timeout: opts.recv_timeout,
             };
             let submit_tx = submit_tx.clone();
             let report_tx = report_tx.clone();
@@ -245,7 +187,10 @@ where
             let expected = coord.alive().len();
             let mut submissions = Vec::with_capacity(expected);
             for _ in 0..expected {
-                let sub = submit_rx.recv().expect("a proc died mid-round");
+                let Ok(sub) = submit_rx.recv() else {
+                    failure = Some("every mesh proc died mid-round".into());
+                    break 'rounds;
+                };
                 if sub.failed.is_some() {
                     failure = sub.failed;
                     break 'rounds;
@@ -264,8 +209,9 @@ where
                 batches[u.index() % procs].push((u, command));
             }
             for (p, batch) in batches.into_iter().enumerate() {
-                if !batch.is_empty() {
-                    batch_txs[p].send(batch).expect("a proc died mid-round");
+                if !batch.is_empty() && batch_txs[p].send(batch).is_err() {
+                    failure = Some(format!("mesh proc {p} died mid-round"));
+                    break 'rounds;
                 }
             }
             if plan.stop {
@@ -296,17 +242,21 @@ where
     });
 
     if let Some(err) = failure {
-        panic!("cluster run wedged: {err}");
+        return Err(io::Error::other(format!("cluster run wedged: {err}")));
     }
+    let states = states
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| {
+            s.ok_or_else(|| io::Error::other(format!("proc returned no state for node n{i}")))
+        })
+        .collect::<io::Result<Vec<P>>>()?;
 
     let out = coord.finish(net.wire_bytes);
     Ok(NetRunResult {
         run: RunResult {
             metrics: out.metrics,
-            states: states
-                .into_iter()
-                .map(|s| s.expect("proc returned no state for a node"))
-                .collect(),
+            states,
             crashed_at: out.crashed_at,
             faulty: out.faulty,
             trace: out.trace,
@@ -428,9 +378,8 @@ fn proc_loop<P>(
             }
             for (k, (dst, frame)) in burst.into_iter().enumerate() {
                 if k < charged {
-                    // Model accounting is per frame, local or remote —
-                    // identical to the channel/TCP rule, hence
-                    // procs-invariant.
+                    // Model accounting is per frame, local or remote,
+                    // hence procs-invariant.
                     wire_bytes += frame.encoded_len();
                     frames_sent += 1;
                 }
@@ -640,6 +589,7 @@ fn proc_loop<P>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::substrate::Substrate;
     use ftc_sim::adversary::{DeliveryFilter, EagerCrash, FaultPlan, NoFaults, ScriptedCrash};
     use ftc_sim::engine::run;
     use ftc_sim::protocol::{Ctx, Incoming};
@@ -764,18 +714,20 @@ mod tests {
 
     #[test]
     fn mesh_wire_accounting_is_procs_invariant_and_matches_channel() {
+        // The constants are what the in-process channel runtime reported
+        // for this run (3 workers) before it was retired in favour of
+        // mesh:1; the mesh must keep charging exactly the same frames.
         let cfg = SimConfig::new(24).seed(9).max_rounds(12);
-        let channel = ftc_net::sync::run_over_channel(&cfg, 3, chatter, &mut EagerCrash::new(4));
         for procs in [1, 2, 6] {
             let net = run_over_mesh(&cfg, procs, chatter, &mut EagerCrash::new(4)).expect("fabric");
-            assert_eq!(net.net.wire_bytes, channel.net.wire_bytes);
-            assert_eq!(net.net.frames_sent, channel.net.frames_sent);
+            assert_eq!(net.net.wire_bytes, 31_920, "procs={procs}");
+            assert_eq!(net.net.frames_sent, 1_140, "procs={procs}");
         }
     }
 
     #[test]
     fn wire_faults_are_model_invisible_on_the_mesh() {
-        use ftc_net::fault::{WireFaultKind, WireFaultPlan};
+        use ftc_net::fault::WireFaultKind;
         // Crash schedule plus wire chaos — reorder, duplicate (including
         // the crashing node's crash-round burst), torn writes, delay.
         // Delivery-preserving faults must leave the model result and the
@@ -793,18 +745,32 @@ mod tests {
             .fault(NodeId(2), 1, WireFaultKind::Reorder)
             .fault(NodeId(3), 1, WireFaultKind::Tear { chunk: 1 })
             .fault(NodeId(4), 2, WireFaultKind::Delay { micros: 200 });
+        let opts = RunOpts {
+            wire_faults: Some(&wire),
+            ..RunOpts::default()
+        };
         for procs in [1, 3] {
-            let net = run_over_mesh_faulty(
-                &cfg,
-                procs,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                &wire,
-            )
-            .expect("fabric");
+            let net = mesh(procs, &cfg, &plan, &opts).expect("fabric");
             assert_matches_engine(&net, &sim);
             assert_eq!(net.net.wire_bytes, clean.net.wire_bytes);
             assert_eq!(net.net.frames_sent, clean.net.frames_sent);
+        }
+    }
+
+    /// One mesh run of `chatter` under `plan` through the public dispatch.
+    fn mesh(
+        procs: usize,
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+        opts: &RunOpts<'_>,
+    ) -> io::Result<NetRunResult<Chatter>> {
+        Substrate::Mesh(procs).run(cfg, chatter, &mut ScriptedCrash::new(plan.clone()), opts)
+    }
+
+    fn at_height(height: u32) -> RunOpts<'static> {
+        RunOpts {
+            height,
+            ..RunOpts::default()
         }
     }
 
@@ -814,17 +780,114 @@ mod tests {
         let plan = FaultPlan::new().crash(NodeId(3), 1, DeliveryFilter::KeepFirst(2));
         let sim = run(&cfg, chatter, &mut ScriptedCrash::new(plan.clone()));
         for height in [0, 1, 7] {
-            let net = run_over_mesh_at_height(
-                &cfg,
-                3,
-                chatter,
-                &mut ScriptedCrash::new(plan.clone()),
-                RECV_TIMEOUT,
-                height,
-            )
-            .expect("fabric");
+            let net = mesh(3, &cfg, &plan, &at_height(height)).expect("fabric");
             assert_matches_engine(&net, &sim);
         }
+    }
+
+    #[test]
+    fn send_cap_and_suppression_survive_the_network_path() {
+        let cfg = SimConfig::new(8).seed(2).max_rounds(10).send_cap(5);
+        let sim = run(&cfg, chatter, &mut NoFaults);
+        for procs in [1, 2] {
+            let net = run_over_mesh(&cfg, procs, chatter, &mut NoFaults).expect("fabric");
+            assert_eq!(net.run.metrics.msgs_suppressed, sim.metrics.msgs_suppressed);
+            assert_matches_engine(&net, &sim);
+        }
+    }
+
+    #[test]
+    fn coordinator_adjacent_crash_does_not_wedge_any_height() {
+        // Node 0 sits on the first proc and submits first each round;
+        // crashing it mid-round exercises the coordinator's accounting
+        // right where a miscount would deadlock the lock-step loop.
+        // Repeat across heights to cover the service's re-election path.
+        let cfg = SimConfig::new(8).seed(13).max_rounds(8);
+        let plan = FaultPlan::new().crash(NodeId(0), 1, DeliveryFilter::KeepFirst(1));
+        let sim = run(&cfg, chatter, &mut ScriptedCrash::new(plan.clone()));
+        for procs in [1, 2] {
+            for height in [2, 3, 9] {
+                let net = mesh(procs, &cfg, &plan, &at_height(height)).expect("fabric");
+                assert_matches_engine(&net, &sim);
+            }
+        }
+    }
+
+    #[test]
+    fn rejoin_at_a_height_boundary_restores_full_participation() {
+        // A long-lived service keeps a crashed node in its down-set by
+        // silencing it from round 0 of each height; rejoining is simply
+        // dropping it from the plan at the next height's fresh fabric.
+        // Both heights must match the engine under their own plans.
+        let cfg = SimConfig::new(6).seed(4).max_rounds(6);
+        let down = FaultPlan::new().crash(NodeId(2), 0, DeliveryFilter::DropAll);
+        let sim_down = run(&cfg, chatter, &mut ScriptedCrash::new(down.clone()));
+        let sim_up = run(&cfg, chatter, &mut NoFaults);
+        for procs in [1, 2] {
+            let net_down = mesh(procs, &cfg, &down, &at_height(5)).expect("fabric");
+            assert_matches_engine(&net_down, &sim_down);
+            assert_eq!(net_down.run.survivor_count(), 5);
+            let net_up = mesh(procs, &cfg, &FaultPlan::new(), &at_height(6)).expect("fabric");
+            assert_matches_engine(&net_up, &sim_up);
+            assert_eq!(net_up.run.survivor_count(), 6);
+        }
+    }
+
+    /// A message whose wire decoding rejects every payload.
+    #[derive(Clone, Debug)]
+    struct Garbled;
+
+    impl ftc_sim::payload::Payload for Garbled {
+        fn size_bits(&self) -> u32 {
+            8
+        }
+    }
+
+    impl Wire for Garbled {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.push(0);
+        }
+        fn decode(_: &[u8]) -> Option<Self> {
+            None
+        }
+    }
+
+    struct Babbler;
+
+    impl Protocol for Babbler {
+        type Msg = Garbled;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, Garbled>) {
+            ctx.broadcast(Garbled);
+        }
+        fn on_round(&mut self, _: &mut Ctx<'_, Garbled>, _: &[Incoming<Garbled>]) {}
+    }
+
+    #[test]
+    fn malformed_frames_fail_the_run_instead_of_panicking() {
+        let cfg = SimConfig::new(4).seed(1).max_rounds(4);
+        let err = Substrate::Mesh(2)
+            .run(&cfg, |_| Babbler, &mut NoFaults, &RunOpts::default())
+            .err()
+            .expect("a run that cannot decode its frames must fail");
+        let msg = err.to_string();
+        assert!(
+            (0..4).any(|k| msg.contains(&format!("node {k} got a malformed frame payload"))),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn invalid_inputs_are_errors_not_panics() {
+        let cfg = SimConfig::new(128).seed(1).max_rounds(4);
+        for procs in [0, fabric::MAX_MESH_PROCS + 1] {
+            let res = run_over_mesh(&cfg, procs, chatter, &mut NoFaults);
+            assert!(res.is_err(), "procs={procs}");
+        }
+        let no_rounds = cfg.clone().max_rounds(0);
+        assert!(run_over_mesh(&no_rounds, 2, chatter, &mut NoFaults).is_err());
+        let mut tiny = cfg;
+        tiny.n = 1;
+        assert!(run_over_mesh(&tiny, 2, chatter, &mut NoFaults).is_err());
     }
 
     #[test]
@@ -875,8 +938,8 @@ mod tests {
 
     #[test]
     fn large_network_runs_on_few_sockets() {
-        // n = 512 on 4 procs: 6 sockets total where the per-edge TCP mesh
-        // would need 130,816. The run must still replay the engine.
+        // n = 512 on 4 procs: 6 sockets total where one socket per node
+        // pair would need 130,816. The run must still replay the engine.
         let cfg = SimConfig::new(512).seed(2).max_rounds(6);
         let sim = run(&cfg, chatter, &mut NoFaults);
         let net = run_over_mesh(&cfg, 4, chatter, &mut NoFaults).expect("fabric");

@@ -6,10 +6,10 @@
 //! duplicated by retransmission layers, are torn into arbitrary
 //! read-sized fragments, or are simply late. This module scripts exactly
 //! those behaviours as a seeded, deterministic [`WireFaultPlan`] that the
-//! transport *adapters* (the channel/TCP synchronizer and the `ftc-mesh`
-//! runtime) apply between the sans-I/O cores and the sockets. The cores
-//! themselves are never touched — injection is an adapter concern, the
-//! same boundary that keeps all runtimes bit-identical.
+//! transport *adapter* (the `ftc-mesh` runtime) applies between the
+//! sans-I/O cores and the sockets. The cores themselves are never touched
+//! — injection is an adapter concern, the same boundary that keeps the
+//! runtime bit-identical to the engine.
 //!
 //! Every fault kind in this v1 plan is **delivery-preserving**: each
 //! original frame still reaches its destination exactly once, in time for
@@ -51,8 +51,7 @@ pub enum WireFaultKind {
     /// Transmit every frame of the burst twice.
     Duplicate,
     /// Tear the node's coalesced writes into fragments of at most `chunk`
-    /// bytes (multiplexed runtimes only; per-frame transports send whole
-    /// frames and absorb this trivially).
+    /// bytes.
     Tear {
         /// Largest write the wire will accept, in bytes (clamped to ≥ 1).
         chunk: usize,

@@ -1,82 +1,73 @@
-//! # `ftc-net` — a real message-passing runtime for the ftc protocols
+//! # `ftc-net` — the sans-I/O layer of the ftc socket runtime
 //!
 //! The simulator (`ftc-sim`) executes the model of Kumar & Molla — a
 //! synchronous crash-fault complete network — entirely in process. This
-//! crate is the second execution substrate: the *same* unmodified
-//! [`Protocol`](ftc_sim::protocol::Protocol) state machines run over a real
-//! transport, with protocol messages serialised into length-prefixed
-//! [`frame::Frame`]s, KT0 port wiring preserved on the wire, crashes
-//! enacted as mid-round connection teardown, and per-run byte accounting
-//! (`wire_bytes`) reported next to the model metrics.
+//! crate holds everything a real message-passing runtime needs *except*
+//! the I/O, so the one socket adapter (`ftc-mesh`) stays thin:
 //!
-//! Two transports ship:
+//! * [`core`] — the sans-I/O round state machines ([`core::RoundCore`] per
+//!   node, [`core::CoordinatorCore`] for the control plane). They are
+//!   built on the simulator's shared control plane
+//!   ([`ftc_sim::round::ControlCore`]) and per-node harness
+//!   ([`ftc_sim::node::NodeHarness`]), which is why a cluster run is
+//!   **bit-identical** to an engine run of the same `(SimConfig, seed)`:
+//!   the network does not *approximate* the simulator, it *replays* it.
+//! * [`frame`] — the length-prefixed [`frame::Frame`] codec that carries
+//!   protocol messages (KT0 port wiring preserved) on the wire.
+//! * [`fault`] — seeded, delivery-preserving wire-fault plans that the
+//!   adapter applies between the cores and the sockets.
 //!
-//! * [`channel`] — in-process `mpsc` mesh: dependency-free, fast, scales to
-//!   thousands of nodes; the workhorse for equivalence tests;
-//! * [`tcp`] — localhost TCP over `std::net`: real sockets, real bytes,
-//!   one bidirectional connection per edge.
-//!
-//! The [`sync`] module contains the round synchronizer that drives either
-//! transport. Its defining property: a network run is **bit-identical** to
-//! an engine run of the same `(SimConfig, seed)` — same leaders, same
-//! decisions, same message/round counts, same crash schedule — because both
-//! drivers are built on the simulator's shared control plane
-//! ([`ftc_sim::round::ControlCore`]) and per-node harness
-//! ([`ftc_sim::node::NodeHarness`]). The network does not *approximate* the
-//! simulator; it *replays* it over sockets, so every claim validated in
-//! simulation transfers to the wire.
-//!
-//! ## Example
-//!
-//! ```
-//! use ftc_net::prelude::*;
-//! use ftc_sim::prelude::*;
-//!
-//! /// Every node greets all neighbours once.
-//! struct Hello { greeted: u64, done: bool }
-//!
-//! impl Protocol for Hello {
-//!     type Msg = u64;
-//!     fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-//!         ctx.broadcast(42);
-//!     }
-//!     fn on_round(&mut self, _ctx: &mut Ctx<'_, u64>, inbox: &[Incoming<u64>]) {
-//!         self.greeted += inbox.len() as u64;
-//!         self.done = true;
-//!     }
-//!     fn is_terminated(&self) -> bool { self.done }
-//! }
-//!
-//! let cfg = SimConfig::new(8).seed(1);
-//! let result = run_over_channel(&cfg, 2, |_| Hello { greeted: 0, done: false }, &mut NoFaults);
-//! assert_eq!(result.run.metrics.msgs_delivered, 8 * 7);
-//! assert!(result.net.wire_bytes > 0); // real frames were paid for
-//! ```
+//! [`NetRunResult`] is what a cluster run returns: the model-level
+//! [`RunResult`] plus [`NetMetrics`] byte accounting. A runnable example
+//! lives in the `ftc-mesh` crate docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod core;
 pub mod fault;
 pub mod frame;
-pub mod sync;
-pub mod tcp;
-pub mod transport;
+
+use std::time::Duration;
+
+use ftc_sim::engine::RunResult;
+
+/// Default for how long a node waits for a frame before the cluster run
+/// is declared wedged. The coordinator's accounting guarantees every
+/// awaited frame was (or will be) sent, so in a healthy run this never
+/// fires; it turns bugs and stalled peers into errors instead of hangs.
+/// `ftc cluster --recv-timeout` overrides it.
+pub const RECV_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Transport-level accounting of one cluster run, on top of the model
+/// metrics in [`RunResult`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NetMetrics {
+    /// Total bytes pushed onto the wire (length prefixes + frame headers +
+    /// encoded payloads), summed over all nodes.
+    pub wire_bytes: u64,
+    /// Total frames transmitted.
+    pub frames_sent: u64,
+}
+
+/// A completed cluster run: the model-level result (identical to what
+/// [`ftc_sim::engine::run`] returns for the same `(SimConfig, seed)`) plus
+/// transport-level byte accounting.
+#[derive(Debug)]
+pub struct NetRunResult<P> {
+    /// The model-level result; `run.metrics.wire_bytes` is filled in from
+    /// the transport accounting.
+    pub run: RunResult<P>,
+    /// Transport-level accounting.
+    pub net: NetMetrics,
+}
 
 /// Convenient glob import for runtime users.
 pub mod prelude {
-    pub use crate::channel::ChannelEndpoint;
     pub use crate::core::{Command, CoordinatorCore, NodeStatus, RoundCore, RoundPlan, Submission};
     pub use crate::fault::{
         ChunkedWriter, FrameDedup, WireFaultEntry, WireFaultKind, WireFaultPlan,
     };
     pub use crate::frame::Frame;
-    pub use crate::sync::{
-        run_over, run_over_at_height, run_over_channel, run_over_channel_at_height,
-        run_over_channel_faulty, run_over_channel_with, run_over_tcp, run_over_tcp_at_height,
-        run_over_tcp_faulty, run_over_tcp_with, NetMetrics, NetRunResult,
-    };
-    pub use crate::tcp::TcpEndpoint;
-    pub use crate::transport::{Endpoint, RoundAssembler, RECV_TIMEOUT};
+    pub use crate::{NetMetrics, NetRunResult, RECV_TIMEOUT};
 }

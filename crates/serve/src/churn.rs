@@ -5,7 +5,7 @@
 //! later. Because every height runs on a fresh mesh, a "down" node is
 //! simply scheduled to crash at round 0 of each election it sits out — the
 //! per-height [`FaultPlan`] is the entire churn mechanism, so the engine
-//! and the `ftc-net` substrates see byte-identical schedules.
+//! and the mesh see byte-identical schedules.
 
 use ftc_sim::prelude::{DeliveryFilter, FaultPlan, NodeId};
 

@@ -22,9 +22,9 @@
 //!
 //! Everything — election outcomes, churn victims, arrivals, latencies —
 //! is a deterministic function of the [`service::ServeConfig`], on every
-//! substrate: the same service history replays on the in-process engine,
-//! the channel mesh, and localhost TCP (heights ride the height-tagged
-//! frames of `ftc-net`).
+//! substrate: the same service history replays on the in-process engine
+//! and on the mesh socket runtime (heights ride the height-tagged frames
+//! of `ftc-net`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,9 +6,9 @@
 //! derived seed [`height_seed`]`(seed, h)`, so the whole multi-height
 //! history — topologies, ranks, referee samples, churn victims, load
 //! arrivals — is a deterministic function of one `(ServeConfig)` value,
-//! on every substrate: the in-process engine, the channel mesh, or
-//! localhost TCP (which replay each height bit-identically via
-//! `run_over_*_at_height`).
+//! on every substrate: the in-process engine or the mesh socket runtime
+//! (which replays each height bit-identically, with the height tagged on
+//! every frame).
 //!
 //! Between elections the service serves client load for a fixed window,
 //! then (per the [`ChurnPlan`]) crashes the sitting leader and a few
@@ -18,10 +18,9 @@
 //! artifacts for any protocol-level violation.
 
 use ftc_core::prelude::{LeNode, LeOutcome, Params};
-use ftc_hunt::prelude::{Artifact, Substrate};
-use ftc_mesh::runtime::run_over_mesh_at_height;
-use ftc_net::prelude::{run_over_channel_at_height, run_over_tcp_at_height, RECV_TIMEOUT};
-use ftc_sim::engine::{run, SimConfig};
+use ftc_hunt::prelude::Artifact;
+use ftc_mesh::{RunOpts, Substrate};
+use ftc_sim::engine::SimConfig;
 use ftc_sim::perm::stream_seed;
 use ftc_sim::prelude::{FaultPlan, NodeId, ScriptedCrash, ServiceMetrics};
 
@@ -225,27 +224,15 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
             .max_rounds(params.le_round_budget());
         let factory = |_| LeNode::new(params.clone());
         let mut adv = ScriptedCrash::new(plan.clone());
-        let (r, wire_bytes) = match cfg.substrate {
-            Substrate::Engine => (run(&hcfg, factory, &mut adv), 0),
-            Substrate::Channel(workers) => {
-                let nr =
-                    run_over_channel_at_height(&hcfg, workers, factory, &mut adv, RECV_TIMEOUT, h);
-                let wire = nr.net.wire_bytes;
-                (nr.run, wire)
-            }
-            Substrate::Tcp(workers) => {
-                let nr = run_over_tcp_at_height(&hcfg, workers, factory, &mut adv, RECV_TIMEOUT, h)
-                    .map_err(|e| format!("serve: height {h}: tcp: {e}"))?;
-                let wire = nr.net.wire_bytes;
-                (nr.run, wire)
-            }
-            Substrate::Mesh(procs) => {
-                let nr = run_over_mesh_at_height(&hcfg, procs, factory, &mut adv, RECV_TIMEOUT, h)
-                    .map_err(|e| format!("serve: height {h}: mesh: {e}"))?;
-                let wire = nr.net.wire_bytes;
-                (nr.run, wire)
-            }
+        let opts = RunOpts {
+            height: h,
+            ..RunOpts::default()
         };
+        let nr = cfg
+            .substrate
+            .run(&hcfg, factory, &mut adv, &opts)
+            .map_err(|e| format!("serve: height {h}: {}: {e}", cfg.substrate))?;
+        let (r, wire_bytes) = (nr.run, nr.net.wire_bytes);
         let outcome = LeOutcome::evaluate(&r);
         monitor.election(h, &params, &hcfg, &plan, &outcome);
         let success = outcome.success && outcome.leader_node.is_some();
@@ -319,7 +306,6 @@ pub fn run_service(cfg: &ServeConfig) -> Result<ServiceReport, String> {
 mod tests {
     use super::*;
     use crate::seeder::split_brain_plan;
-    use ftc_hunt::prelude::Substrate;
 
     fn churny(n: u32, seed: u64, heights: u32) -> ServeConfig {
         ServeConfig::new(n, 0.5)
@@ -368,39 +354,20 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_channel_substrates_agree_per_height() {
+    fn engine_and_mesh_substrates_agree_per_height() {
         let base = churny(16, 5, 6);
         let engine = run_service(&base).unwrap();
-        let channel = run_service(&base.clone().substrate(Substrate::Channel(3))).unwrap();
+        let mesh = run_service(&base.clone().substrate(Substrate::Mesh(2))).unwrap();
         // Bit-equivalence, lifted to the whole service history: every
         // height elects the same leader with the same traffic.
-        for (e, c) in engine.heights.iter().zip(&channel.heights) {
-            assert_eq!(e.leader, c.leader, "height {}", e.height);
-            assert_eq!(e.rank, c.rank, "height {}", e.height);
-            assert_eq!(e.msgs_sent, c.msgs_sent, "height {}", e.height);
-            assert_eq!(e.rounds, c.rounds, "height {}", e.height);
-            assert!(c.wire_bytes > 0, "height {} paid no wire bytes", e.height);
+        for (e, m) in engine.heights.iter().zip(&mesh.heights) {
+            assert_eq!(e.leader, m.leader, "height {}", e.height);
+            assert_eq!(e.rank, m.rank, "height {}", e.height);
+            assert_eq!(e.msgs_sent, m.msgs_sent, "height {}", e.height);
+            assert_eq!(e.rounds, m.rounds, "height {}", e.height);
+            assert!(m.wire_bytes > 0, "height {} paid no wire bytes", e.height);
         }
-        assert_eq!(engine.metrics, channel.metrics);
-    }
-
-    #[test]
-    fn tcp_substrate_smoke() {
-        let cfg = ServeConfig::new(8, 0.5)
-            .seed(3)
-            .heights(3)
-            .substrate(Substrate::Tcp(2));
-        let engine = run_service(&ServeConfig {
-            substrate: Substrate::Engine,
-            ..cfg.clone()
-        })
-        .unwrap();
-        let tcp = run_service(&cfg).unwrap();
-        assert_eq!(
-            engine.heights.iter().map(|h| h.leader).collect::<Vec<_>>(),
-            tcp.heights.iter().map(|h| h.leader).collect::<Vec<_>>()
-        );
-        assert!(tcp.heights.iter().all(|h| h.wire_bytes > 0));
+        assert_eq!(engine.metrics, mesh.metrics);
     }
 
     #[test]
@@ -428,15 +395,15 @@ mod tests {
             Violation::TwoLeaders { height: 0, .. }
         ));
         // The artifact replays: same fingerprint, same verdict, on both
-        // the engine and a real channel mesh.
+        // the engine and the mesh.
         assert_eq!(report.artifacts.len(), 1);
         let art = &report.artifacts[0];
         assert_eq!(art.height, Some(0));
         assert!(art.hit);
         let replay = art.replay(Substrate::Engine).unwrap();
         assert!(replay.ok(), "engine replay diverged: {replay:?}");
-        let wire = art.replay(Substrate::Channel(2)).unwrap();
-        assert!(wire.ok(), "channel replay diverged: {wire:?}");
+        let wire = art.replay(Substrate::Mesh(2)).unwrap();
+        assert!(wire.ok(), "mesh replay diverged: {wire:?}");
         // And it survives the JSON round trip `ftc replay` reads.
         let parsed = Artifact::parse(&art.render()).unwrap();
         assert_eq!(parsed.height, Some(0));

@@ -296,9 +296,9 @@ impl Topology {
 /// Closed-form variants (complete, hub) answer in O(1) without expanding
 /// anything; list variants answer by binary search over the same
 /// adjacency the engine wires, so the oracle and the port maps can never
-/// disagree about which links exist. The socket runtimes
-/// (`ftc-net`'s TCP mesh, `ftc-mesh`'s proc-pair fabric) consult it to
-/// open exactly the links the topology has.
+/// disagree about which links exist. The socket runtime (`ftc-mesh`'s
+/// proc-pair fabric) consults it to open only the links the topology
+/// needs.
 #[derive(Clone, Debug)]
 pub struct EdgeSet {
     n: u32,

@@ -4,21 +4,20 @@
 //! The paper's introduction motivates leader election as a fault-tolerance
 //! subroutine of real systems (Akamai's CDN, Paxos). This example runs
 //! such a service on `ftc-serve`: each election *height* elects a
-//! coordinator with the paper's sublinear protocol over the `ftc-net`
-//! channel transport — protocol messages travel as length-prefixed frames
-//! between node threads, crashes are enacted as mid-round connection
-//! teardown — then churn kills the coordinator (plus some bystanders) and
-//! the next height re-elects among the survivors. Between elections the
-//! deterministic load generator routes requests to the current leader,
-//! and the invariant monitor checks leader uniqueness and request
-//! linearity the whole time. The point: total coordination traffic stays
-//! tiny — each height costs `Õ(√n)` messages instead of the `Θ(n²)` a
-//! broadcast election would burn — and the cost is visible in real wire
-//! bytes, not just simulator counters.
+//! coordinator with the paper's sublinear protocol over the `ftc-mesh`
+//! socket runtime — protocol messages travel as length-prefixed frames
+//! between proc threads over localhost sockets — then churn kills the
+//! coordinator (plus some bystanders) and the next height re-elects among
+//! the survivors. Between elections the deterministic load generator
+//! routes requests to the current leader, and the invariant monitor
+//! checks leader uniqueness and request linearity the whole time. The
+//! point: total coordination traffic stays tiny — each height costs
+//! `Õ(√n)` messages instead of the `Θ(n²)` a broadcast election would
+//! burn — and the cost is visible in real wire bytes, not just simulator
+//! counters.
 //!
-//! The in-process channel transport is used so the example scales to 1024
-//! nodes; swap `Substrate::Channel` for `Substrate::Tcp` (and shrink `N`
-//! to ≤ 64) to watch the same service run over localhost TCP sockets.
+//! The 1024 nodes are packed onto 4 procs, so a height opens only 6
+//! sockets; `Substrate::Mesh(1)` runs the same service with no sockets.
 //!
 //! ```sh
 //! cargo run --release --example leader_service
@@ -29,14 +28,14 @@ use ftc::prelude::*;
 const N: u32 = 1024;
 const ALPHA: f64 = 0.5;
 const HEIGHTS: u32 = 8;
-const WORKERS: usize = 4;
+const PROCS: usize = 4;
 
 fn main() -> Result<(), String> {
     let cfg = ServeConfig::new(N, ALPHA)
         .seed(1)
         .heights(HEIGHTS)
         .window_rounds(16)
-        .substrate(Substrate::Channel(WORKERS))
+        .substrate(Substrate::Mesh(PROCS))
         .churn(ChurnPlan {
             kill_leader_every: 1, // every height's coordinator dies...
             bystanders: 15,       // ...along with a handful of bystanders
@@ -47,7 +46,7 @@ fn main() -> Result<(), String> {
             leader_capacity: 8,
         });
 
-    println!("leader service: {N} nodes on the channel transport, {HEIGHTS} heights");
+    println!("leader service: {N} nodes on the mesh ({PROCS} procs), {HEIGHTS} heights");
     println!("(each height the elected coordinator and 15 bystanders crash)");
     println!();
     println!(

@@ -5,19 +5,21 @@
 //! ftc agree   --n 4096 --alpha 0.5 --zeros 0.05 --adversary targeted [--format json]
 //! ftc sweep   --n 2048 --alpha 0.5 --caps 64,16,4,1 --trials 24 [--format csv]
 //! ftc trace   --n 512  --alpha 0.5 --seed 7          # influence-cloud report
-//! ftc cluster --n 8 --alpha 0.5 --proto le --seed 1 --transport tcp
+//! ftc cluster --n 8 --alpha 0.5 --proto le --seed 1 --procs 4
 //! ftc serve   --n 64 --alpha 0.75 --heights 100 --kill-every 3 [--out results/]
 //! ftc loadgen --n 16 --alpha 0.5 --heights 40 --arrivals 4 --capacity 8
 //! ftc hunt    --n 64 --alpha 0.5 --proto le --objective failure --budget 256
-//! ftc replay  results/le-failure.counterexample.json --transport channel
+//! ftc replay  results/le-failure.counterexample.json --procs 2
 //! ftc lab     run gate-smoke --jobs 4
 //! ftc lab     gate results/store/gate-smoke-<hash>.json
 //! ```
 //!
-//! `cluster` runs the same protocols over a real transport (`ftc-net`):
-//! localhost TCP sockets or in-process channels, with crash injection as
-//! mid-round socket teardown. Simulator and cluster emit the same row
-//! shapes, so `--format csv|json` output is interchangeable downstream.
+//! `cluster` runs the same protocols over the mesh socket runtime
+//! (`ftc-mesh`): the nodes are packed onto `--procs` threads joined by one
+//! localhost socket per proc pair (`--procs 1` opens none). Simulator and
+//! cluster emit the same row shapes, so `--format csv|json` output is
+//! interchangeable downstream. `serve` and `lab` pick their substrate with
+//! `--substrate engine|mesh[:P]`.
 //!
 //! `serve` runs a long-lived leader service (`ftc-serve`): repeated
 //! election heights with leader-kill churn, automatic re-election, and a
@@ -29,7 +31,7 @@
 //!
 //! `hunt` searches the crash-schedule space for a schedule that breaks the
 //! chosen objective (`ftc-hunt`), ddmin-shrinks the worst one it finds,
-//! cross-checks it on the sim engine and the channel runtime, and (with
+//! cross-checks it on the sim engine and the mesh, and (with
 //! `--out`) writes a replayable counterexample artifact. `replay`
 //! re-executes such an artifact and fails if the recorded fingerprint or
 //! verdict is not reproduced bit-for-bit.
@@ -54,10 +56,8 @@ struct Opts {
     format: Format,
     jobs: usize,
     proto: String,
-    transport: String,
-    workers: usize,
-    /// `cluster --transport mesh`: OS processes the nodes are packed
-    /// onto (one socket per proc pair).
+    /// `cluster`/`replay`/`hunt --wire-faults`: mesh procs the nodes are
+    /// packed onto (one socket per proc pair).
     procs: usize,
     /// `cluster`: how long a node waits on a frame before the run is
     /// declared wedged.
@@ -71,8 +71,8 @@ struct Opts {
     smoke: bool,
     /// `lab`: results-store directory.
     store: String,
-    /// `lab`: execution substrate (`engine`, `channel:W`, `tcp:W`).
-    substrate: String,
+    /// `serve`/`lab`: execution substrate (`engine` or `mesh[:P]`).
+    substrate: Substrate,
     /// `lab`: worker threads sharding one trial's nodes (engine
     /// substrate only; results are bit-identical at any value).
     intra_jobs: usize,
@@ -99,7 +99,7 @@ struct Opts {
     /// monitor/artifact demonstration; see `ftc_serve::seeder`).
     inject_split_brain: Option<u32>,
     /// `hunt`: also search socket-level wire faults (reorder, duplicate,
-    /// tear, delay) on the `--transport` substrate.
+    /// tear, delay) on the mesh.
     wire_faults: bool,
     /// `hunt`: exit nonzero unless the hunt found a counterexample.
     expect_hit: bool,
@@ -129,9 +129,7 @@ impl Default for Opts {
             format: Format::Human,
             jobs: 0,
             proto: "le".into(),
-            transport: "tcp".into(),
-            workers: 4,
-            procs: 4,
+            procs: DEFAULT_MESH_PROCS,
             recv_timeout: RECV_TIMEOUT,
             objective: "failure".into(),
             strategy: "random".into(),
@@ -140,7 +138,7 @@ impl Default for Opts {
             out: None,
             smoke: false,
             store: "results/store".into(),
-            substrate: "engine".into(),
+            substrate: Substrate::Engine,
             intra_jobs: 1,
             campaign: None,
             tolerance: None,
@@ -275,27 +273,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 }
                 i += 2;
             }
-            "--transport" => {
-                o.transport = value(i)?.clone();
-                if !matches!(o.transport.as_str(), "tcp" | "channel" | "mesh") {
-                    return Err(format!(
-                        "unknown transport {} (tcp|channel|mesh)",
-                        o.transport
-                    ));
-                }
-                i += 2;
-            }
-            "--workers" => {
-                o.workers = value(i)?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if o.workers == 0 {
-                    return Err("--workers must be at least 1".into());
-                }
-                i += 2;
-            }
             "--procs" => {
                 o.procs = value(i)?.parse().map_err(|e| format!("--procs: {e}"))?;
-                if o.procs == 0 {
-                    return Err("--procs must be at least 1".into());
+                if !(1..=MAX_MESH_PROCS).contains(&o.procs) {
+                    return Err(format!("--procs must be in 1..={MAX_MESH_PROCS}"));
                 }
                 i += 2;
             }
@@ -346,8 +327,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 i += 2;
             }
             "--substrate" => {
-                o.substrate = value(i)?.clone();
-                parse_substrate(&o.substrate)?;
+                o.substrate = value(i)?.parse()?;
                 i += 2;
             }
             "--intra-jobs" => {
@@ -721,20 +701,22 @@ fn cluster_trial(o: &Opts, seed: u64) -> Result<ClusterTrial, String> {
     let params = Params::new(o.n, o.alpha).map_err(|e| e.to_string())?;
     let f = params.max_faults();
     // Validate size and graph before any sockets are opened (n < 2 etc.);
-    // the gated transports then only dial the topology's edges.
+    // the gated fabric then only joins procs that a model edge crosses.
     let base = with_topology(o, SimConfig::try_new(o.n).map_err(|e| e.to_string())?)?;
+    let mesh = Substrate::Mesh(o.procs);
+    let opts = RunOpts {
+        recv_timeout: o.recv_timeout,
+        ..RunOpts::default()
+    };
+    let failed = |e: std::io::Error| format!("mesh cluster: {e}");
     match o.proto.as_str() {
         "le" => {
             let cfg = base.seed(seed).max_rounds(params.le_round_budget());
             let mut adv = le_adversary(&o.adversary, f)?;
             let factory = |_| LeNode::new(params.clone());
-            let res = match o.transport.as_str() {
-                "tcp" => run_over_tcp_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("tcp cluster: {e}"))?,
-                "mesh" => run_over_mesh_with(&cfg, o.procs, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("mesh cluster: {e}"))?,
-                _ => run_over_channel_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout),
-            };
+            let res = mesh
+                .run(&cfg, factory, adv.as_mut(), &opts)
+                .map_err(failed)?;
             let out = LeOutcome::evaluate(&res.run);
             Ok(ClusterTrial {
                 success: out.success,
@@ -757,13 +739,9 @@ fn cluster_trial(o: &Opts, seed: u64) -> Result<ClusterTrial, String> {
                     !(stride != u32::MAX && id.0.is_multiple_of(stride)),
                 )
             };
-            let res = match o.transport.as_str() {
-                "tcp" => run_over_tcp_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("tcp cluster: {e}"))?,
-                "mesh" => run_over_mesh_with(&cfg, o.procs, factory, adv.as_mut(), o.recv_timeout)
-                    .map_err(|e| format!("mesh cluster: {e}"))?,
-                _ => run_over_channel_with(&cfg, o.workers, factory, adv.as_mut(), o.recv_timeout),
-            };
+            let res = mesh
+                .run(&cfg, factory, adv.as_mut(), &opts)
+                .map_err(failed)?;
             let out = AgreeOutcome::evaluate(&res.run);
             Ok(ClusterTrial {
                 success: out.success,
@@ -808,7 +786,7 @@ fn cmd_cluster(o: &Opts) -> Result<(), String> {
             w.emit(&[
                 Value::UInt(trial),
                 Value::UInt(seed),
-                Value::Str(o.transport.clone()),
+                Value::Str("mesh".into()),
                 Value::Str(o.proto.clone()),
                 Value::Bool(t.success),
                 Value::Int(t.outcome),
@@ -833,17 +811,10 @@ fn cmd_cluster(o: &Opts) -> Result<(), String> {
     }
     if writer.is_none() {
         let total = o.trials.max(1);
-        if o.transport == "mesh" {
-            println!(
-                "cluster (mesh, {} protocol): n={} alpha={} adversary={} procs={} trials={total}",
-                o.proto, o.n, o.alpha, o.adversary, o.procs
-            );
-        } else {
-            println!(
-                "cluster ({}, {} protocol): n={} alpha={} adversary={} workers={} trials={total}",
-                o.transport, o.proto, o.n, o.alpha, o.adversary, o.workers
-            );
-        }
+        println!(
+            "cluster (mesh, {} protocol): n={} alpha={} adversary={} procs={} trials={total}",
+            o.proto, o.n, o.alpha, o.adversary, o.procs
+        );
         println!("  success: {successes}/{total}");
         println!("  messages: mean {:.0} (p95 {:.0})", msgs.mean, msgs.p95);
         println!("  wire bytes: mean {:.0} (p95 {:.0})", wire.mean, wire.p95);
@@ -871,43 +842,13 @@ fn cmd_cluster(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn substrate_name(s: Substrate) -> &'static str {
-    match s {
-        Substrate::Engine => "engine",
-        Substrate::Channel(_) => "channel",
-        Substrate::Tcp(_) => "tcp",
-        Substrate::Mesh(_) => "mesh",
-    }
-}
-
-/// The `ftc-net` substrate selected by `--transport`/`--workers`.
-fn net_substrate(o: &Opts) -> Substrate {
-    match o.transport.as_str() {
-        "tcp" => Substrate::Tcp(o.workers),
-        "mesh" => Substrate::Mesh(o.procs),
-        _ => Substrate::Channel(o.workers),
-    }
-}
-
-/// Maps the `--substrate` flag onto the serve substrate (intra-trial
-/// sharding has no meaning for a single service, so `engine` variants
-/// collapse).
-fn serve_substrate(o: &Opts) -> Result<Substrate, String> {
-    Ok(match parse_substrate(&o.substrate)? {
-        LabSubstrate::Engine | LabSubstrate::EngineSharded(_) => Substrate::Engine,
-        LabSubstrate::Channel(w) => Substrate::Channel(w),
-        LabSubstrate::Tcp(w) => Substrate::Tcp(w),
-        LabSubstrate::Mesh(p) => Substrate::Mesh(p),
-    })
-}
-
 /// Builds the service spec shared by `serve` and `loadgen`.
 fn serve_config(o: &Opts) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::new(o.n, o.alpha)
         .seed(o.seed)
         .heights(o.heights)
         .window_rounds(o.window)
-        .substrate(serve_substrate(o)?)
+        .substrate(o.substrate)
         .churn(ChurnPlan {
             kill_leader_every: o.kill_every,
             bystanders: o.bystanders,
@@ -1094,10 +1035,11 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
         .map_err(|e| e.to_string())?
         .max_rounds(proto.round_budget(&params));
     // Wire faults only exist below a real transport, so `--wire-faults`
-    // moves the whole hunt onto the `--transport` substrate; plain hunts
-    // stay on the (much faster, observation-identical) engine.
+    // moves the whole hunt onto the mesh; plain hunts stay on the (much
+    // faster, observation-identical) engine.
+    let mesh = Substrate::Mesh(o.procs);
     let substrate = if o.wire_faults {
-        net_substrate(o)
+        mesh
     } else {
         Substrate::Engine
     };
@@ -1158,19 +1100,12 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
         fingerprint: reduced.observation.fingerprint.clone(),
     };
     // Cross-check before emitting: the artifact must replay bit-for-bit on
-    // the engine and on the real channel runtime (PR-3 bit-equivalence) —
-    // plus the hunted substrate itself when wire faults are on, so the
-    // wire plan is re-applied where it was found.
-    let mut check_on = vec![Substrate::Engine, Substrate::Channel(o.workers)];
-    if o.wire_faults {
-        check_on.push(substrate);
-    }
-    for substrate in check_on {
+    // the engine and on the mesh, where a wire plan is re-applied.
+    for substrate in [Substrate::Engine, mesh] {
         let check = artifact.replay(substrate)?;
         if !check.ok() {
             return Err(format!(
-                "hunted schedule does not replay on {}: {check:?}",
-                substrate_name(substrate)
+                "hunted schedule does not replay on {substrate}: {check:?}"
             ));
         }
     }
@@ -1212,10 +1147,9 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
         if let Some(wire) = &artifact.wire {
             let (_, residue) = wire.degrade();
             println!(
-                "  wire faults: {} entr{} on {} (engine residue: {})",
+                "  wire faults: {} entr{} on {substrate} (engine residue: {})",
                 wire.len(),
                 if wire.len() == 1 { "y" } else { "ies" },
-                substrate_name(substrate),
                 if residue.is_empty() {
                     "none".to_string()
                 } else {
@@ -1223,14 +1157,7 @@ fn cmd_hunt(o: &Opts) -> Result<(), String> {
                 }
             );
         }
-        if o.wire_faults {
-            println!(
-                "  replay: engine ok, channel ok, {} ok",
-                substrate_name(substrate)
-            );
-        } else {
-            println!("  replay: engine ok, channel ok");
-        }
+        println!("  replay: engine ok, mesh ok");
     }
     if let Some(path) = &o.out {
         std::fs::write(path, artifact.render()).map_err(|e| format!("{path}: {e}"))?;
@@ -1262,7 +1189,7 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         .ok_or("replay needs an artifact file: ftc replay <file>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let artifact = Artifact::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let substrates = [Substrate::Engine, net_substrate(o)];
+    let substrates = [Substrate::Engine, Substrate::Mesh(o.procs)];
     let mut writer = o.format.is_machine().then(|| {
         RowWriter::new(
             o.format,
@@ -1284,7 +1211,7 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
         }
         if let Some(w) = writer.as_mut() {
             w.emit(&[
-                Value::Str(substrate_name(substrate).into()),
+                Value::Str(substrate.label().into()),
                 Value::Bool(report.fingerprint_matches),
                 Value::Bool(report.verdict_matches),
                 Value::Bool(report.observation.fingerprint.success),
@@ -1295,7 +1222,7 @@ fn cmd_replay(o: &Opts) -> Result<(), String> {
             println!(
                 "replay {} on {}: fingerprint {}, verdict {} (score {}, hit {})",
                 path,
-                substrate_name(substrate),
+                substrate.label(),
                 if report.fingerprint_matches {
                     "reproduced"
                 } else {
@@ -1477,44 +1404,16 @@ fn cmd_hunt_portfolio(o: &Opts) -> Result<(), String> {
     }
 }
 
-/// Parses `--substrate engine|channel[:W]|tcp[:W]|mesh[:P]` for `lab run`.
-fn parse_substrate(s: &str) -> Result<LabSubstrate, String> {
-    let (kind, workers) = match s.split_once(':') {
-        Some((k, w)) => (
-            k,
-            w.parse::<usize>()
-                .map_err(|e| format!("--substrate workers: {e}"))?,
-        ),
-        None => (s, 4),
-    };
-    if kind != "engine" && workers == 0 {
-        return Err("--substrate workers must be at least 1".into());
-    }
-    match kind {
-        "engine" => Ok(LabSubstrate::Engine),
-        "channel" => Ok(LabSubstrate::Channel(workers)),
-        "tcp" => Ok(LabSubstrate::Tcp(workers)),
-        "mesh" => Ok(LabSubstrate::Mesh(workers)),
-        other => Err(format!(
-            "unknown substrate {other} (engine|channel[:W]|tcp[:W]|mesh[:P])"
-        )),
-    }
-}
-
-/// The substrate the `lab` verbs run on: `--substrate`, upgraded to the
-/// sharded engine when `--intra-jobs J` asks for intra-trial parallelism.
-fn lab_substrate(o: &Opts) -> Result<LabSubstrate, String> {
-    let substrate = parse_substrate(&o.substrate)?;
-    if o.intra_jobs <= 1 {
-        return Ok(substrate);
-    }
-    match substrate {
-        LabSubstrate::Engine => Ok(LabSubstrate::EngineSharded(o.intra_jobs)),
-        other => Err(format!(
+/// The substrate the `lab` verbs run on: `--substrate`, whose engine
+/// runs `--intra-jobs` shards per trial.
+fn lab_substrate(o: &Opts) -> Result<Substrate, String> {
+    if o.intra_jobs > 1 && o.substrate != Substrate::Engine {
+        return Err(format!(
             "--intra-jobs shards the engine substrate only (got {})",
-            other.name()
-        )),
+            o.substrate
+        ));
     }
+    Ok(o.substrate)
 }
 
 /// Resolves `lab run`'s campaign argument: a registry name, or a path to
@@ -1591,7 +1490,7 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
         "run" => {
             let spec = resolve_spec(&arg(1, "a campaign name or spec file")?, o.smoke)?;
             let substrate = lab_substrate(o)?;
-            let record = run_campaign(&spec, o.jobs, substrate)?;
+            let record = run_campaign(&spec, o.jobs, substrate, o.intra_jobs)?;
             let id = store.put(&record).map_err(|e| e.to_string())?;
             print_record(&record, o.format);
             if o.format != Format::Json {
@@ -1653,7 +1552,7 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
         "gate" => {
             let base = load_record_arg(&store, &arg(1, "a baseline record or file")?)?;
             let substrate = lab_substrate(o)?;
-            let fresh = run_campaign(&base.spec, o.jobs, substrate)?;
+            let fresh = run_campaign(&base.spec, o.jobs, substrate, o.intra_jobs)?;
             let tol = o.tolerance.map_or_else(Tolerance::exact, Tolerance::banded);
             report_diff(&base, &fresh, &tol)
         }
@@ -1678,19 +1577,15 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
             }
             // Trajectories are throughput history per substrate:
             // wire-throughput records the mesh, everything else the
-            // engine — the cluster substrates would otherwise record
-            // wall clocks of a different machine shape entirely.
-            let substrate = match lab_substrate(o)? {
-                s @ (LabSubstrate::Engine | LabSubstrate::EngineSharded(_)) => s,
-                s @ LabSubstrate::Mesh(_) if only.is_some_and(|n| n == "wire-throughput") => s,
-                other => {
-                    return Err(format!(
-                        "lab baseline records engine trajectories (or mesh, for \
-                         wire-throughput only); got {}",
-                        other.name()
-                    ))
-                }
-            };
+            // engine — the mesh would otherwise record wall clocks of a
+            // different machine shape entirely.
+            let substrate = lab_substrate(o)?;
+            if substrate != Substrate::Engine && only.is_none_or(|n| n != "wire-throughput") {
+                return Err(format!(
+                    "lab baseline records engine trajectories (or mesh, for \
+                     wire-throughput only); got {substrate}"
+                ));
+            }
             for (name, file) in all {
                 if only.is_some_and(|n| n != name) {
                     continue;
@@ -1699,12 +1594,11 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
                 // two procs by default — the multiplexing is what is
                 // measured, not parallelism.
                 let substrate = match (name, substrate) {
-                    ("wire-throughput", s @ LabSubstrate::Mesh(_)) => s,
-                    ("wire-throughput", _) => LabSubstrate::Mesh(2),
+                    ("wire-throughput", Substrate::Engine) => Substrate::Mesh(2),
                     (_, s) => s,
                 };
                 let spec = ftc::lab::campaigns::named(name, o.smoke).expect("registry name");
-                let record = run_campaign(&spec, o.jobs, substrate)?;
+                let record = run_campaign(&spec, o.jobs, substrate, o.intra_jobs)?;
                 let id = store.put(&record).map_err(|e| e.to_string())?;
                 let path = dir.join(file);
                 let entries =
@@ -1753,18 +1647,8 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
                          either scale — regenerate the trajectory with ftc lab baseline"
                     )
                 })?;
-            let substrate = match lab_substrate(o)? {
-                s @ (LabSubstrate::Engine
-                | LabSubstrate::EngineSharded(_)
-                | LabSubstrate::Mesh(_)) => s,
-                other => {
-                    return Err(format!(
-                        "lab perf gates the engine and mesh substrates only (got {})",
-                        other.name()
-                    ))
-                }
-            };
-            let fresh = run_campaign(&spec, o.jobs, substrate)?;
+            let substrate = lab_substrate(o)?;
+            let fresh = run_campaign(&spec, o.jobs, substrate, o.intra_jobs)?;
             store.put(&fresh).map_err(|e| e.to_string())?;
             let tolerance = o.tolerance.unwrap_or(0.2);
             let mut report = ftc::lab::baseline::perf_gate(&entry, &fresh, tolerance)?;
@@ -1774,7 +1658,7 @@ fn cmd_lab(o: &Opts) -> Result<(), String> {
                 // and gate on each cell's best of the two runs. A real
                 // hot-path regression fails both.
                 eprintln!("throughput below floor; re-running once to rule out transient noise");
-                let retry = run_campaign(&spec, o.jobs, substrate)?;
+                let retry = run_campaign(&spec, o.jobs, substrate, o.intra_jobs)?;
                 let mut best = fresh.clone();
                 for (b, r) in best.cells.iter_mut().zip(&retry.cells) {
                     if r.throughput() > b.throughput() {
@@ -1868,7 +1752,7 @@ fn usage() -> &'static str {
      [--adversary none|eager|random|targeted] [--topology complete|diam2:<c>|rr:<d>] \
      [--caps c1,c2,none] \
      [--format human|csv|json] [--csv] [--jobs J] [--proto le|agree] \
-     [--transport tcp|channel|mesh] [--workers W] [--procs P] [--recv-timeout SECS] \
+     [--procs P] [--recv-timeout SECS] \
      [--objective two-leaders|disagreement|failure|max-messages|max-rounds] \
      [--strategy random|guided|anneal] [--budget B] [--probes P] [--out FILE] \
      [--wire-faults] [--expect-hit|--expect-empty]\n\
@@ -1876,13 +1760,13 @@ fn usage() -> &'static str {
      [--min-coverage F] [--expect-hit|--expect-empty] [--format human|json]\n\
      ftc hunt portfolio gate <record|file> [--jobs J] [--store DIR]\n\
      ftc serve   [--n N] [--alpha A] [--seed S] [--heights H] [--kill-every K] \
-     [--bystanders B] [--rejoin-after R] [--window W] [--substrate engine|channel:W|tcp:W|mesh:P] \
+     [--bystanders B] [--rejoin-after R] [--window W] [--substrate engine|mesh[:P]] \
      [--inject-split-brain H] [--out DIR] [--format human|csv|json]\n\
      ftc loadgen [--n N] [--heights H] [--arrivals A] [--capacity C] [--window W] \
      [--kill-every K] [--format human|csv|json]\n\
-     ftc replay <artifact.json> [--transport tcp|channel|mesh] [--workers W] [--procs P]\n\
+     ftc replay <artifact.json> [--procs P]\n\
      ftc lab run <campaign|spec.json> [--smoke] [--jobs J] [--intra-jobs J] [--store DIR] \
-     [--substrate engine|channel:W|tcp:W|mesh:P] [--format human|json]\n\
+     [--substrate engine|mesh[:P]] [--format human|json]\n\
      ftc lab list [--kind lab|hunt] [--store DIR]\n\
      ftc lab show <id> [--store DIR]\n\
      ftc lab diff <baseline> <fresh> [--tolerance F]\n\
@@ -1940,8 +1824,8 @@ mod tests {
         assert_eq!(o.n, 1024);
         assert_eq!(o.adversary, "random");
         assert_eq!(o.format, Format::Human);
-        assert_eq!(o.transport, "tcp");
-        assert_eq!(o.workers, 4);
+        assert_eq!(o.procs, DEFAULT_MESH_PROCS);
+        assert_eq!(o.substrate, Substrate::Engine);
     }
 
     #[test]
@@ -2020,13 +1904,16 @@ mod tests {
 
     #[test]
     fn cluster_flags_are_validated_at_parse_time() {
-        let o = parse_opts(&args("--proto agree --transport channel --workers 2")).unwrap();
+        let o = parse_opts(&args("--proto agree --procs 2 --substrate mesh:3")).unwrap();
         assert_eq!(o.proto, "agree");
-        assert_eq!(o.transport, "channel");
-        assert_eq!(o.workers, 2);
+        assert_eq!(o.procs, 2);
+        assert_eq!(o.substrate, Substrate::Mesh(3));
         assert!(parse_opts(&args("--proto paxos")).is_err());
-        assert!(parse_opts(&args("--transport carrier-pigeon")).is_err());
-        assert!(parse_opts(&args("--workers 0")).is_err());
+        assert!(parse_opts(&args("--procs 0")).is_err());
+        assert!(parse_opts(&args("--procs 65")).is_err());
+        let err = parse_opts(&args("--substrate channel:2")).unwrap_err();
+        assert!(err.contains("engine|mesh[:P]"), "{err}");
+        assert!(parse_opts(&args("--substrate mesh:0")).is_err());
     }
 
     #[test]
@@ -2081,9 +1968,9 @@ mod tests {
 
     #[test]
     fn positional_arguments_are_collected() {
-        let o = parse_opts(&args("results/ce.json --workers 2")).unwrap();
+        let o = parse_opts(&args("results/ce.json --procs 2")).unwrap();
         assert_eq!(o.positional, vec!["results/ce.json".to_string()]);
-        assert_eq!(o.workers, 2);
+        assert_eq!(o.procs, 2);
     }
 
     #[test]
@@ -2097,8 +1984,7 @@ mod tests {
             probes: 1,
             proto: "le".into(),
             objective: "max-messages".into(),
-            transport: "channel".into(),
-            workers: 2,
+            procs: 2,
             jobs: 1,
             out: Some(out.to_string_lossy().into_owned()),
             ..Opts::default()
@@ -2144,13 +2030,12 @@ mod tests {
     }
 
     #[test]
-    fn end_to_end_small_cluster_run_over_channels() {
+    fn end_to_end_small_cluster_run_over_the_mesh() {
         let o = Opts {
             n: 16,
             alpha: 0.5,
             trials: 2,
-            transport: "channel".into(),
-            workers: 2,
+            procs: 2,
             adversary: "eager".into(),
             ..Opts::default()
         };
@@ -2251,7 +2136,6 @@ mod tests {
         // n below the model minimum.
         let o = Opts {
             n: 1,
-            transport: "channel".into(),
             ..Opts::default()
         };
         let err = cmd_cluster(&o).unwrap_err();
@@ -2260,7 +2144,6 @@ mod tests {
         let o = Opts {
             n: 1024,
             alpha: 0.001,
-            transport: "channel".into(),
             ..Opts::default()
         };
         let err = cmd_cluster(&o).unwrap_err();

@@ -13,12 +13,12 @@
 //!   broadcast LE, GK10-style, CK09-style gossip, Kutten et al.);
 //! * [`lowerbound`] — influence-cloud analysis and message-budget sweeps
 //!   for the `Ω(√n/α^{3/2})` lower bounds;
-//! * [`net`] — the real message-passing runtime: the same protocols over
-//!   in-process channels or localhost TCP sockets, bit-identical to the
-//!   simulator for any `(SimConfig, seed)`;
-//! * [`mesh`] — the multiplexed socket runtime: one socket per *process*
-//!   pair and many simulated nodes per process, taking real cluster runs
-//!   from n=8 to n=1024 on the same sans-I/O round core;
+//! * [`net`] — the sans-I/O half of the cluster runtime: the round state
+//!   machines, the frame codec and wire-fault plans;
+//! * [`mesh`] — the multiplexed socket runtime on that core: one socket
+//!   per *process* pair and many simulated nodes per process, bit-identical
+//!   to the simulator for any `(SimConfig, seed)`, plus the one
+//!   `Substrate` (`engine|mesh[:P]`) every front end dispatches through;
 //! * [`hunt`] — adversary search: hunts, shrinks, and replays worst-case
 //!   crash schedules as committed counterexample artifacts;
 //! * [`chaos`] — portfolio hunts at campaign scale: the full strategies ×
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use ftc_hunt::prelude::*;
     pub use ftc_lab::{
         diff_records, run_campaign, Adv, CampaignRecord, CampaignSpec, CellSpec, CheckAxis,
-        CheckMetric, DiffReport, ExponentCheck, LabSubstrate, Store, Tolerance, Workload,
+        CheckMetric, DiffReport, ExponentCheck, Store, Tolerance, Workload,
     };
     pub use ftc_lowerbound::prelude::*;
     pub use ftc_mesh::prelude::*;

@@ -1,7 +1,8 @@
-//! `DeliveryFilter` edge cases: the sim engine, the `ftc-net` channel
-//! runtime, and the `ftc-mesh` socket runtime must agree on *exactly
-//! which frames land* when a node crashes mid-round — including the degenerate filters (deliver nothing, filter
-//! covering every port, probabilistic partial delivery).
+//! `DeliveryFilter` edge cases: the sim engine and the `ftc-mesh` socket
+//! runtime — socketless at one proc, over real sockets at three — must
+//! agree on *exactly which frames land* when a node crashes mid-round —
+//! including the degenerate filters (deliver nothing, filter covering
+//! every port, probabilistic partial delivery).
 //!
 //! The per-message ground truth is the execution trace: one event per
 //! send, flagged with whether the crash filter let it through. Equality of
@@ -20,8 +21,8 @@ fn traced_cfg(params: &Params, seed: u64) -> SimConfig {
         .record_trace(true)
 }
 
-/// Runs the LE protocol under `plan` on the engine, the channel runtime,
-/// and the multiplexed mesh runtime, returning all three results.
+/// Runs the LE protocol under `plan` on the engine and on the mesh at one
+/// and at three procs, returning all three results.
 fn run_all(
     plan: &FaultPlan,
     seed: u64,
@@ -31,26 +32,25 @@ fn run_all(
     let mut adv = ScriptedCrash::new(plan.clone());
     let engine = run(&cfg, |_| LeNode::new(params.clone()), &mut adv);
     let mut adv = ScriptedCrash::new(plan.clone());
-    let channel = run_over_channel(&cfg, 3, |_| LeNode::new(params.clone()), &mut adv).run;
-    let mut adv = ScriptedCrash::new(plan.clone());
-    let mesh = run_over_mesh(&cfg, 3, |_| LeNode::new(params.clone()), &mut adv)
+    let mesh1 = run_over_mesh(&cfg, 1, |_| LeNode::new(params.clone()), &mut adv)
         .expect("mesh fabric")
         .run;
-    (engine, channel, mesh)
+    let mut adv = ScriptedCrash::new(plan.clone());
+    let mesh3 = run_over_mesh(&cfg, 3, |_| LeNode::new(params.clone()), &mut adv)
+        .expect("mesh fabric")
+        .run;
+    (engine, mesh1, mesh3)
 }
 
 /// Asserts the two substrates agree frame-for-frame: same sends, same
 /// delivery verdicts, in the same order — plus identical accounting.
-fn assert_frames_agree(engine: &RunResult<LeNode>, channel: &RunResult<LeNode>) {
+fn assert_frames_agree(engine: &RunResult<LeNode>, mesh: &RunResult<LeNode>) {
     let et = engine.trace.as_ref().expect("engine trace");
-    let ct = channel.trace.as_ref().expect("channel trace");
-    assert_eq!(et.events(), ct.events(), "frame-level divergence");
-    assert_eq!(engine.metrics.msgs_sent, channel.metrics.msgs_sent);
-    assert_eq!(
-        engine.metrics.msgs_delivered,
-        channel.metrics.msgs_delivered
-    );
-    assert_eq!(engine.metrics.crashes, channel.metrics.crashes);
+    let mt = mesh.trace.as_ref().expect("mesh trace");
+    assert_eq!(et.events(), mt.events(), "frame-level divergence");
+    assert_eq!(engine.metrics.msgs_sent, mesh.metrics.msgs_sent);
+    assert_eq!(engine.metrics.msgs_delivered, mesh.metrics.msgs_delivered);
+    assert_eq!(engine.metrics.crashes, mesh.metrics.crashes);
 }
 
 /// Frames the crashed node sent in its crash round, split into
@@ -79,10 +79,10 @@ fn empty_filters_deliver_no_crash_round_frames() {
         DeliveryFilter::KeepToDestinations(Vec::new()),
     ] {
         let plan = FaultPlan::new().crash(NodeId(1), 0, filter.clone());
-        let (engine, channel, mesh) = run_all(&plan, SEED);
-        assert_frames_agree(&engine, &channel);
-        assert_frames_agree(&engine, &mesh);
-        for r in [&engine, &channel, &mesh] {
+        let (engine, mesh1, mesh3) = run_all(&plan, SEED);
+        assert_frames_agree(&engine, &mesh1);
+        assert_frames_agree(&engine, &mesh3);
+        for r in [&engine, &mesh1, &mesh3] {
             let (delivered, _) = crash_round_frames(r, NodeId(1), 0);
             assert!(
                 delivered.is_empty(),
@@ -110,11 +110,11 @@ fn filter_covering_all_ports_delivers_everything_then_silence() {
     let everyone: Vec<NodeId> = (0..N).map(NodeId).collect();
     let plan = FaultPlan::new().crash(NodeId(2), 1, DeliveryFilter::KeepToDestinations(everyone));
     let all = FaultPlan::new().crash(NodeId(2), 1, DeliveryFilter::DeliverAll);
-    let (engine, channel, mesh) = run_all(&plan, SEED);
-    assert_frames_agree(&engine, &channel);
-    assert_frames_agree(&engine, &mesh);
+    let (engine, mesh1, mesh3) = run_all(&plan, SEED);
+    assert_frames_agree(&engine, &mesh1);
+    assert_frames_agree(&engine, &mesh3);
     let (reference, _, _) = run_all(&all, SEED);
-    for r in [&engine, &channel, &mesh] {
+    for r in [&engine, &mesh1, &mesh3] {
         let (delivered, dropped) = crash_round_frames(r, NodeId(2), 1);
         assert!(dropped.is_empty(), "all-ports filter dropped {dropped:?}");
         let (want, _) = crash_round_frames(&reference, NodeId(2), 1);
@@ -126,8 +126,8 @@ fn filter_covering_all_ports_delivers_everything_then_silence() {
 fn partial_delivery_mid_round_is_bit_identical_across_substrates() {
     // DeliverEachWithProbability tears the node down mid-round: some
     // frames land, some don't, decided by the engine's filter stream. The
-    // channel runtime must reproduce the exact same delivered/dropped
-    // split — this is the PR-3 bit-equivalence guarantee at its sharpest.
+    // mesh must reproduce the exact same delivered/dropped split — the
+    // bit-equivalence guarantee at its sharpest.
     for seed in [SEED, SEED + 1, SEED + 2] {
         let plan = FaultPlan::new()
             .crash(
@@ -136,11 +136,11 @@ fn partial_delivery_mid_round_is_bit_identical_across_substrates() {
                 DeliveryFilter::DeliverEachWithProbability(0.5),
             )
             .crash(NodeId(7), 1, DeliveryFilter::KeepFirst(1));
-        let (engine, channel, mesh) = run_all(&plan, seed);
-        assert_frames_agree(&engine, &channel);
-        assert_frames_agree(&engine, &mesh);
+        let (engine, mesh1, mesh3) = run_all(&plan, seed);
+        assert_frames_agree(&engine, &mesh1);
+        assert_frames_agree(&engine, &mesh3);
         // KeepFirst(1) keeps at most one frame.
-        for r in [&engine, &channel, &mesh] {
+        for r in [&engine, &mesh1, &mesh3] {
             let (delivered, _) = crash_round_frames(r, NodeId(7), 1);
             assert!(delivered.len() <= 1, "KeepFirst(1) kept {delivered:?}");
         }

@@ -1,13 +1,13 @@
-//! Transport equivalence: the network runtime replays the simulator.
+//! Transport equivalence: the mesh runtime replays the simulator.
 //!
-//! The defining property of `ftc-net` is that a cluster run is
+//! The defining property of the cluster runtime is that a run is
 //! bit-identical to an engine run of the same `(SimConfig, seed)` — same
 //! elected leader, same agreement decision, same message/bit/round counts,
-//! same crash schedule — independent of the transport and of how many
-//! worker threads multiplex the nodes. These tests pin that property for
-//! both of the paper's protocols under several seeds and adversaries, at
-//! 1 and 4 workers (the acceptance configuration), on the channel
-//! transport, plus TCP smoke coverage at n = 8.
+//! same crash schedule — independent of how many procs (worker threads)
+//! multiplex the nodes, and of whether frames cross a socket at all
+//! (`procs = 1` opens none). These tests pin that property for both of
+//! the paper's protocols under several seeds and adversaries, plus TCP
+//! smoke coverage at n = 8.
 
 use ftc::prelude::*;
 
@@ -77,95 +77,28 @@ fn agree_adversary(kind: &str, f: usize) -> Box<dyn Adversary<AgreeMsg>> {
 }
 
 #[test]
-fn leader_election_matches_engine_on_channel_transport() {
-    let params = Params::new(N, ALPHA).unwrap();
-    let f = params.max_faults();
-    for adversary in ["none", "eager", "random", "targeted"] {
-        for seed in [1u64, 7, 99] {
-            let cfg = SimConfig::new(N)
-                .seed(seed)
-                .max_rounds(params.le_round_budget());
-            let sim = run(
-                &cfg,
-                |_| LeNode::new(params.clone()),
-                le_adversary(adversary, f).as_mut(),
-            );
-            let expected = le_fingerprint(&sim);
-            for workers in WORKER_COUNTS {
-                let net = run_over_channel(
-                    &cfg,
-                    workers,
-                    |_| LeNode::new(params.clone()),
-                    le_adversary(adversary, f).as_mut(),
-                );
-                assert_eq!(
-                    le_fingerprint(&net.run),
-                    expected,
-                    "LE diverged: adversary={adversary} seed={seed} workers={workers}"
-                );
-                assert_eq!(net.run.metrics.wire_bytes, net.net.wire_bytes);
-            }
-        }
-    }
-}
-
-#[test]
-fn agreement_matches_engine_on_channel_transport() {
-    let params = Params::new(N, ALPHA).unwrap();
-    let f = params.max_faults();
-    // Every 8th node holds input 0, the rest hold 1.
-    let input = |id: NodeId| !id.0.is_multiple_of(8);
-    for adversary in ["none", "eager", "random", "targeted"] {
-        for seed in [2u64, 13] {
-            let cfg = SimConfig::new(N)
-                .seed(seed)
-                .max_rounds(params.agreement_round_budget());
-            let sim = run(
-                &cfg,
-                |id| AgreeNode::new(params.clone(), input(id)),
-                agree_adversary(adversary, f).as_mut(),
-            );
-            let expected = agree_fingerprint(&sim);
-            for workers in WORKER_COUNTS {
-                let net = run_over_channel(
-                    &cfg,
-                    workers,
-                    |id| AgreeNode::new(params.clone(), input(id)),
-                    agree_adversary(adversary, f).as_mut(),
-                );
-                assert_eq!(
-                    agree_fingerprint(&net.run),
-                    expected,
-                    "agreement diverged: adversary={adversary} seed={seed} workers={workers}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn worker_count_does_not_change_wire_accounting() {
-    // Outcomes are covered above; wire bytes must also be schedule-free.
+    // Outcomes are covered below; wire bytes must also be schedule-free.
     let params = Params::new(N, ALPHA).unwrap();
     let cfg = SimConfig::new(N)
-        .seed(5)
+        .seed(7)
         .max_rounds(params.le_round_budget());
     let f = params.max_faults();
-    let baseline = run_over_channel(
-        &cfg,
-        1,
-        |_| LeNode::new(params.clone()),
-        le_adversary("eager", f).as_mut(),
-    );
-    for workers in [2, 4, 8] {
-        let net = run_over_channel(
+    let run_on = |procs| {
+        run_over_mesh(
             &cfg,
-            workers,
+            procs,
             |_| LeNode::new(params.clone()),
-            le_adversary("eager", f).as_mut(),
-        );
-        assert_eq!(net.net.wire_bytes, baseline.net.wire_bytes);
-        assert_eq!(net.net.frames_sent, baseline.net.frames_sent);
+            le_adversary("random", f).as_mut(),
+        )
+        .expect("mesh fabric")
+        .net
+    };
+    let baseline = run_on(1);
+    for procs in [2, 4, 8] {
+        let net = run_on(procs);
+        assert_eq!(net.wire_bytes, baseline.wire_bytes, "procs={procs}");
+        assert_eq!(net.frames_sent, baseline.frames_sent, "procs={procs}");
     }
 }
 
@@ -175,7 +108,7 @@ fn committed_counterexample_replays_identically_across_worker_counts() {
     // schedule under which leader election *fails* at the recorded seed
     // (a single node going silent in the late referee window). Replaying
     // it must reproduce the recorded fingerprint and verdict on the
-    // engine and on the channel mesh at every worker count — the hunt
+    // engine and on the mesh at every worker (proc) count — the hunt
     // subsystem's acceptance property, pinned to a committed artifact.
     let text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -196,15 +129,12 @@ fn committed_counterexample_replays_identically_across_worker_counts() {
     );
     for workers in WORKER_COUNTS {
         let net = artifact
-            .replay(Substrate::Channel(workers))
-            .expect("channel replay");
-        assert!(
-            net.ok(),
-            "channel replay diverged at workers={workers}: {net:?}"
-        );
+            .replay(Substrate::Mesh(workers))
+            .expect("mesh replay");
+        assert!(net.ok(), "mesh replay diverged at procs={workers}: {net:?}");
         assert_eq!(
             net.observation, engine.observation,
-            "channel observation differs from engine at workers={workers}"
+            "mesh observation differs from engine at procs={workers}"
         );
     }
 }
@@ -212,15 +142,16 @@ fn committed_counterexample_replays_identically_across_worker_counts() {
 #[test]
 fn tcp_smoke_leader_election_n8() {
     // The acceptance configuration: n = 8, alpha = 0.5 (tiny-n
-    // best-effort regime), over real sockets.
+    // best-effort regime), over real localhost TCP sockets (the mesh
+    // fabric at 4 procs).
     let n = 8;
     let params = Params::new(n, 0.5).unwrap();
     let cfg = SimConfig::new(n)
         .seed(1)
         .max_rounds(params.le_round_budget());
     let sim = run(&cfg, |_| LeNode::new(params.clone()), &mut NoFaults);
-    let net = run_over_tcp(&cfg, 4, |_| LeNode::new(params.clone()), &mut NoFaults)
-        .expect("tcp mesh at n=8");
+    let net = run_over_mesh(&cfg, 4, |_| LeNode::new(params.clone()), &mut NoFaults)
+        .expect("tcp fabric at n=8");
     assert_eq!(le_fingerprint(&net.run), le_fingerprint(&sim));
     let out = LeOutcome::evaluate(&net.run);
     assert!(out.success, "exactly one leader over real sockets");
@@ -241,30 +172,30 @@ fn tcp_smoke_agreement_n8_with_crashes() {
         |id| AgreeNode::new(params.clone(), input(id)),
         agree_adversary("eager", f).as_mut(),
     );
-    let net = run_over_tcp(
+    let net = run_over_mesh(
         &cfg,
         4,
         |id| AgreeNode::new(params.clone(), input(id)),
         agree_adversary("eager", f).as_mut(),
     )
-    .expect("tcp mesh at n=8");
+    .expect("tcp fabric at n=8");
     assert_eq!(agree_fingerprint(&net.run), agree_fingerprint(&sim));
     assert!(AgreeOutcome::evaluate(&net.run).success);
 }
 
 // ---------------------------------------------------------------------
-// Mesh runtime: the multiplexed socket substrate must replay the engine
-// (and therefore the channel mesh) bit-for-bit at every process count.
+// The multiplexed socket substrate must replay the engine bit-for-bit at
+// every process count, including the socketless procs = 1.
 // ---------------------------------------------------------------------
 
-const MESH_PROC_COUNTS: [usize; 2] = [2, 5];
+const MESH_PROC_COUNTS: [usize; 3] = [1, 2, 5];
 
 #[test]
 fn leader_election_matches_engine_on_mesh_transport() {
     let params = Params::new(N, ALPHA).unwrap();
     let f = params.max_faults();
-    for adversary in ["eager", "random", "targeted"] {
-        for seed in [1u64, 99] {
+    for adversary in ["none", "eager", "random", "targeted"] {
+        for seed in [1u64, 7, 99] {
             let cfg = SimConfig::new(N)
                 .seed(seed)
                 .max_rounds(params.le_round_budget());
@@ -298,7 +229,7 @@ fn agreement_matches_engine_on_mesh_transport() {
     let params = Params::new(N, ALPHA).unwrap();
     let f = params.max_faults();
     let input = |id: NodeId| !id.0.is_multiple_of(8);
-    for adversary in ["eager", "random", "targeted"] {
+    for adversary in ["none", "eager", "random", "targeted"] {
         for seed in [2u64, 13] {
             let cfg = SimConfig::new(N)
                 .seed(seed)
@@ -330,19 +261,16 @@ fn agreement_matches_engine_on_mesh_transport() {
 #[test]
 fn mesh_wire_accounting_is_procs_invariant_and_matches_the_channel_mesh() {
     // The envelope's dst word is transport overhead, not model traffic:
-    // wire bytes and frame counts must agree with the channel runtime
-    // exactly, at every process count (including the socketless procs=1).
+    // wire bytes and frame counts must equal what the in-process channel
+    // runtime reported for this run (1 worker) before mesh:1 replaced it,
+    // at every process count (including the socketless procs=1).
+    const CHANNEL_WIRE_BYTES: u64 = 375_759;
+    const CHANNEL_FRAMES_SENT: u64 = 12_537;
     let params = Params::new(N, ALPHA).unwrap();
     let cfg = SimConfig::new(N)
         .seed(5)
         .max_rounds(params.le_round_budget());
     let f = params.max_faults();
-    let baseline = run_over_channel(
-        &cfg,
-        1,
-        |_| LeNode::new(params.clone()),
-        le_adversary("eager", f).as_mut(),
-    );
     for procs in [1, 2, 5, 8] {
         let net = run_over_mesh(
             &cfg,
@@ -351,8 +279,8 @@ fn mesh_wire_accounting_is_procs_invariant_and_matches_the_channel_mesh() {
             le_adversary("eager", f).as_mut(),
         )
         .expect("mesh fabric");
-        assert_eq!(net.net.wire_bytes, baseline.net.wire_bytes, "procs={procs}");
-        assert_eq!(net.net.frames_sent, baseline.net.frames_sent);
+        assert_eq!(net.net.wire_bytes, CHANNEL_WIRE_BYTES, "procs={procs}");
+        assert_eq!(net.net.frames_sent, CHANNEL_FRAMES_SENT, "procs={procs}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Replay matrix: every counterexample artifact committed under
 //! `results/` must replay cleanly on every substrate — the deterministic
-//! engine, the in-process channel runtime, localhost TCP, and the
-//! multiplexed mesh runtime. This is the standing guarantee that the
+//! engine and the multiplexed mesh runtime, both socketless (one proc)
+//! and over localhost sockets (two procs). This is the standing guarantee that the
 //! artifacts in the repo are live evidence, not stale JSON: a protocol
 //! or runtime change that breaks reproduction fails this test, not a
 //! human re-running hunts by hand.
@@ -59,16 +59,7 @@ fn committed_artifacts_replay_on_engine() {
 }
 
 #[test]
-fn committed_artifacts_replay_on_channel() {
-    replay_all_on(Substrate::Channel(2));
-}
-
-#[test]
-fn committed_artifacts_replay_on_tcp() {
-    replay_all_on(Substrate::Tcp(2));
-}
-
-#[test]
 fn committed_artifacts_replay_on_mesh() {
+    replay_all_on(Substrate::Mesh(1));
     replay_all_on(Substrate::Mesh(2));
 }
