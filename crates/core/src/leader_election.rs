@@ -21,7 +21,7 @@
 //! network. A crashed node is never elected (it may crash *after* the
 //! election; the leader is non-faulty with probability ≥ α).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use ftc_sim::ids::{NodeId, Port, Round};
 use ftc_sim::prelude::*;
@@ -47,7 +47,67 @@ pub enum LeStatus {
     NonElected,
 }
 
+/// A set of ranks kept as a sorted, duplicate-free `Vec`.
+///
+/// The candidate's sets hold at most the few dozen committee ranks, so a
+/// binary search plus a short shift beats a B-tree node walk and its
+/// per-insert allocation. Iteration is in rank order, as a `BTreeSet`'s
+/// would be, which keeps runs deterministic.
+#[derive(Clone, Debug, Default)]
+struct RankSet(Vec<Rank>);
+
+impl RankSet {
+    fn contains(&self, rank: Rank) -> bool {
+        self.0.binary_search(&rank).is_ok()
+    }
+
+    /// Inserts `rank`; returns whether it was absent.
+    fn insert(&mut self, rank: Rank) -> bool {
+        match self.0.binary_search(&rank) {
+            Ok(_) => false,
+            Err(at) => {
+                self.0.insert(at, rank);
+                true
+            }
+        }
+    }
+
+    /// Removes `rank`; returns whether it was present.
+    fn remove(&mut self, rank: Rank) -> bool {
+        match self.0.binary_search(&rank) {
+            Ok(at) => {
+                self.0.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// Removes every rank below `floor`.
+    fn drop_below(&mut self, floor: Rank) {
+        let cut = self.0.partition_point(|&r| r < floor);
+        self.0.drain(..cut);
+    }
+
+    /// The smallest rank `>= rank`, if any.
+    fn at_or_above(&self, rank: Rank) -> Option<Rank> {
+        self.0.get(self.0.partition_point(|&r| r < rank)).copied()
+    }
+
+    fn first(&self) -> Option<Rank> {
+        self.0.first().copied()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Rank> + '_ {
+        self.0.iter().copied()
+    }
+}
+
 /// State of a node that chose to be a candidate.
+///
+/// The rank sets are [`RankSet`]s: sorted `Vec`s with binary-search
+/// lookups, iterated in rank order so that which rank is proposed next
+/// never depends on insertion history.
 #[derive(Clone, Debug)]
 struct CandidateState {
     /// Own rank (= own ID).
@@ -56,12 +116,12 @@ struct CandidateState {
     referees: Vec<Port>,
     /// Ranks of (known) candidates, own rank included; pruned from below
     /// as higher maxima are echoed.
-    rank_list: BTreeSet<Rank>,
+    rank_list: RankSet,
     /// Ranks this candidate has already proposed at a phase-A activation
     /// ("a node proposes a rank from its rankList only once").
-    proposed: BTreeSet<Rank>,
+    proposed: RankSet,
     /// Ranks discovered to be dead (timed out); never re-admitted.
-    dead: BTreeSet<Rank>,
+    dead: RankSet,
     /// Largest echoed maximum processed so far; everything below is pruned.
     floor: Rank,
     /// The rank this candidate is currently waiting on (its own last
@@ -71,7 +131,7 @@ struct CandidateState {
     support_age: u32,
     /// Support values already relayed (the paper's "sends ⟨ID_u, p̃max⟩"
     /// happens once per adopted value).
-    relayed: BTreeSet<Rank>,
+    relayed: RankSet,
     /// Current leader belief.
     leader: Option<Rank>,
     /// Whether this node claimed leadership (and hasn't been superseded).
@@ -81,18 +141,132 @@ struct CandidateState {
 }
 
 /// State of a node in its referee role (any node may be sampled).
+///
+/// Pre-processing forwards every known rank to every registered candidate
+/// except the one it came from, at one message per candidate port per
+/// round (CONGEST). The forwards are kept as one FIFO per candidate
+/// *slot* (its index in `candidates`), each entry tagged with a global
+/// enqueue sequence number. A round sends the head of every non-empty
+/// slot in sequence order. That is exactly what draining one shared FIFO
+/// of `(port, rank)` pairs would send — each port's oldest pending entry,
+/// in the order those entries were queued — at `O(slots)` cost per round
+/// instead of a walk over every pending pair. The send order reaches the
+/// wire and the send-cap accounting, so every container here iterates
+/// deterministically for runs to replay exactly.
 #[derive(Clone, Debug, Default)]
 struct RefereeState {
-    /// Ports of the candidates that registered with this referee.
+    /// Ports of the candidates that registered with this referee; slot `i`
+    /// of `queues` belongs to `candidates[i]`.
     candidates: Vec<Port>,
-    /// First-seen arrival port of each known rank (to avoid echoing a
-    /// candidate its own rank during pre-processing). Ordered map: the
-    /// forward queue is built by iterating the keys, so the container's
-    /// iteration order must be deterministic for runs to replay exactly.
-    rank_origin: BTreeMap<Rank, Port>,
-    /// Pending `(destination port, rank)` forwards, drained at one message
-    /// per port per round (CONGEST).
-    forward_queue: VecDeque<(Port, Rank)>,
+    /// Every distinct rank heard, in arrival order. Queue entries point
+    /// into it by index.
+    ranks: Vec<Rank>,
+    /// Indices into `ranks`, sorted by rank: the membership test and the
+    /// rank-ordered catch-up a newly registered candidate receives.
+    by_rank: Vec<u32>,
+    /// Pending forwards per slot as `(enqueue sequence, index into
+    /// ranks)`. A drained slot's buffer is released.
+    queues: Vec<VecDeque<(u32, u32)>>,
+    /// Sequence number of the next queued forward.
+    next_seq: u32,
+    /// Forwards pending over all slots.
+    pending: usize,
+    /// Reused per-round scratch: `(sequence, slot)` of the heads to send.
+    heads: Vec<(u32, u32)>,
+}
+
+impl RefereeState {
+    /// Records a `Register{rank}` from port `from`, queueing the forwards
+    /// it causes: every known rank to a newly seen candidate (in rank
+    /// order), then a newly seen rank to every other candidate (in
+    /// registration order).
+    fn register(&mut self, from: Port, rank: Rank) {
+        let slot = match self.candidates.iter().position(|&p| p == from) {
+            Some(slot) => slot,
+            None => {
+                // Every known rank arrived from an already registered
+                // port, so none of them came from the newcomer.
+                let first = self.take_seqs(self.by_rank.len());
+                let queue = (first..).zip(self.by_rank.iter().copied()).collect();
+                self.candidates.push(from);
+                self.queues.push(queue);
+                self.candidates.len() - 1
+            }
+        };
+        let ranks = &self.ranks;
+        if let Err(at) = self
+            .by_rank
+            .binary_search_by_key(&rank, |&i| ranks[i as usize])
+        {
+            let index = self.ranks.len() as u32;
+            self.ranks.push(rank);
+            self.by_rank.insert(at, index);
+            let mut seq = self.take_seqs(self.queues.len() - 1);
+            for (other, queue) in self.queues.iter_mut().enumerate() {
+                if other != slot {
+                    queue.push_back((seq, index));
+                    seq += 1;
+                }
+            }
+        }
+    }
+
+    /// Reserves `count` consecutive enqueue sequence numbers for as many
+    /// new forwards; returns the first. Every slot drains an entry per
+    /// round, so the `u32` range runs out only with billions of forwards
+    /// pending at once — tens of gigabytes of entries, past any run's
+    /// memory.
+    fn take_seqs(&mut self, count: usize) -> u32 {
+        let first = self.next_seq;
+        self.next_seq = u32::try_from(count)
+            .ok()
+            .and_then(|count| first.checked_add(count))
+            .expect("fewer than 2^32 forwards queued at one referee");
+        self.pending += count;
+        first
+    }
+
+    /// Sends one round of forwards: the head of every non-empty slot, in
+    /// enqueue order.
+    fn drain(&mut self, mut send: impl FnMut(Port, Rank)) {
+        if self.pending == 0 {
+            return;
+        }
+        let RefereeState {
+            candidates,
+            ranks,
+            queues,
+            pending,
+            heads,
+            ..
+        } = self;
+        heads.clear();
+        for (slot, queue) in queues.iter().enumerate() {
+            if let Some(&(seq, _)) = queue.front() {
+                heads.push((seq, slot as u32));
+            }
+        }
+        heads.sort_unstable();
+        for &(_, slot) in heads.iter() {
+            let queue = &mut queues[slot as usize];
+            let (_, index) = queue.pop_front().expect("a head was seen");
+            if queue.is_empty() {
+                *queue = VecDeque::new();
+            }
+            send(candidates[slot as usize], ranks[index as usize]);
+        }
+        *pending -= heads.len();
+    }
+}
+
+/// Folds one `(value, flag)` into a running maximum whose flag is the OR
+/// over every occurrence of the maximal value.
+fn fold_max(acc: Option<(Rank, bool)>, value: Rank, flag: bool) -> Option<(Rank, bool)> {
+    match acc {
+        Some((v, f)) if v > value => Some((v, f)),
+        Some((v, f)) if v == value => Some((v, f || flag)),
+        _ => Some((value, flag)),
+    }
 }
 
 /// One node of the fault-tolerant implicit leader-election protocol.
@@ -184,63 +358,12 @@ impl LeNode {
     // Referee role
     // ------------------------------------------------------------------
 
-    fn referee_register(&mut self, from: Port, rank: Rank) {
-        let r = &mut self.referee;
-        if r.rank_origin.contains_key(&rank) {
-            // Duplicate rank (collision or rebroadcast): remember only the
-            // first origin, still queue forwards below for a new port.
-        }
-        let is_new_port = !r.candidates.contains(&from);
-        if is_new_port {
-            // Forward all previously known ranks to the newcomer...
-            let known: Vec<Rank> = r.rank_origin.keys().copied().collect();
-            for k in known {
-                if r.rank_origin[&k] != from {
-                    r.forward_queue.push_back((from, k));
-                }
-            }
-            r.candidates.push(from);
-        }
-        if !r.rank_origin.contains_key(&rank) {
-            // ...and the new rank to all previously registered candidates.
-            for &p in &r.candidates {
-                if p != from {
-                    r.forward_queue.push_back((p, rank));
-                }
-            }
-            r.rank_origin.insert(rank, from);
-        }
-    }
-
-    fn referee_drain_forwards(&mut self, ctx: &mut Ctx<'_, LeMsg>) {
-        // One forwarded rank per destination port per round (CONGEST).
-        let r = &mut self.referee;
-        if r.forward_queue.is_empty() {
+    /// Echoes the round's maximum proposal, flagged when some proposer
+    /// proposed its own rank, to every registered candidate.
+    fn referee_echo(&self, ctx: &mut Ctx<'_, LeMsg>, max_proposal: Option<(Rank, bool)>) {
+        let Some((value, claimed)) = max_proposal else {
             return;
-        }
-        let mut used: BTreeSet<Port> = BTreeSet::new();
-        let mut requeue: VecDeque<(Port, Rank)> = VecDeque::new();
-        while let Some((port, rank)) = r.forward_queue.pop_front() {
-            if used.contains(&port) {
-                requeue.push_back((port, rank));
-            } else {
-                used.insert(port);
-                ctx.send(port, LeMsg::ForwardRank { rank });
-            }
-        }
-        r.forward_queue = requeue;
-    }
-
-    fn referee_echo(
-        &mut self,
-        ctx: &mut Ctx<'_, LeMsg>,
-        proposals: &[(Rank, Rank)], // (id, value) received this round
-    ) {
-        if proposals.is_empty() {
-            return;
-        }
-        let value = proposals.iter().map(|&(_, v)| v).max().expect("non-empty");
-        let claimed = proposals.iter().any(|&(id, v)| v == value && id == value);
+        };
         for &p in &self.referee.candidates {
             ctx.send(p, LeMsg::Echo { value, claimed });
         }
@@ -267,7 +390,7 @@ impl LeNode {
         }
         cand.floor = cand.floor.max(value);
         // "removes all the ranks smaller than the received rank"
-        cand.rank_list = cand.rank_list.split_off(&value);
+        cand.rank_list.drop_below(value);
 
         if value == cand.id {
             // Our own rank is the maximum: claim leadership (once) and
@@ -308,28 +431,22 @@ impl LeNode {
             // otherwise out-propose it with the next higher rank we know
             // (or adopt it into the list if we know nothing higher).
             cand.settled = false;
-            if cand.dead.contains(&value) {
+            if cand.dead.contains(value) {
                 // We already know this rank is dead; ignore — our next
                 // phase-A proposal will out-propose it.
                 return;
             }
-            if !cand.rank_list.contains(&value) {
-                match cand.rank_list.range(value..).next().copied() {
-                    Some(_higher) => {
-                        // Next phase-A proposal (min of pruned list) is
-                        // already ≥ `value`; nothing extra to send now.
-                    }
-                    None => {
-                        cand.rank_list.insert(value);
-                    }
-                }
+            // If we know a higher rank, the next phase-A proposal (min of
+            // the pruned list) is already ≥ `value`; nothing extra to send
+            // now. Otherwise adopt `value` into the list.
+            if cand.rank_list.at_or_above(value).is_none() {
+                cand.rank_list.insert(value);
             }
-            if cand.rank_list.contains(&value) && cand.support != Some(value) {
+            if cand.rank_list.contains(value) && cand.support != Some(value) {
                 cand.support = Some(value);
                 cand.support_age = 0;
                 if cand.relayed.insert(value) {
-                    let cc = cand.clone();
-                    Self::send_proposal(&cc, ctx, value);
+                    Self::send_proposal(cand, ctx, value);
                 }
             }
         }
@@ -350,7 +467,7 @@ impl LeNode {
         if let Some(target) = cand.support {
             cand.support_age += 1;
             if cand.support_age >= SUPPORT_PATIENCE {
-                cand.rank_list.remove(&target);
+                cand.rank_list.remove(target);
                 cand.dead.insert(target);
                 cand.support = None;
                 cand.support_age = 0;
@@ -363,9 +480,8 @@ impl LeNode {
         let value = cand
             .rank_list
             .iter()
-            .find(|r| !cand.proposed.contains(r))
-            .copied()
-            .or_else(|| cand.rank_list.first().copied());
+            .find(|&r| !cand.proposed.contains(r))
+            .or_else(|| cand.rank_list.first());
         let Some(value) = value else {
             // Rank list empty (everything timed out): fall back to self.
             cand.rank_list.insert(cand.id);
@@ -393,8 +509,7 @@ impl Protocol for LeNode {
         // actual ports: bit-identical to the historical complete-graph
         // draw (degree = n-1 there), degree-clamped on sparse topologies.
         let referees = ctx.sample_ports(self.params.referee_count());
-        let mut rank_list = BTreeSet::new();
-        rank_list.insert(id);
+        let rank_list = RankSet(vec![id]);
         for &p in &referees {
             ctx.send(p, LeMsg::Register { rank: id });
         }
@@ -402,12 +517,12 @@ impl Protocol for LeNode {
             id,
             referees,
             rank_list,
-            proposed: BTreeSet::new(),
-            dead: BTreeSet::new(),
+            proposed: RankSet::default(),
+            dead: RankSet::default(),
             floor: Rank(0),
             support: None,
             support_age: 0,
-            relayed: BTreeSet::new(),
+            relayed: RankSet::default(),
             leader: None,
             marked_leader: false,
             settled: false,
@@ -415,27 +530,25 @@ impl Protocol for LeNode {
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, LeMsg>, inbox: &[Incoming<LeMsg>]) {
-        // Split the inbox by role.
-        let mut proposals: Vec<(Rank, Rank)> = Vec::new();
+        // Split the inbox by role. A referee echoes the maximum proposal,
+        // flagged when its proposer proposed itself; a candidate acts on
+        // the maximum echo, flagged when any copy of it was claimed.
+        let mut proposal_max: Option<(Rank, bool)> = None;
         let mut echo_max: Option<(Rank, bool)> = None;
         for inc in inbox {
-            match &inc.msg {
-                LeMsg::Register { rank } => self.referee_register(inc.port, *rank),
+            match inc.msg {
+                LeMsg::Register { rank } => self.referee.register(inc.port, rank),
                 LeMsg::ForwardRank { rank } => {
                     if let Some(cand) = self.candidate.as_mut() {
-                        if *rank >= cand.floor && !cand.dead.contains(rank) {
-                            cand.rank_list.insert(*rank);
+                        if rank >= cand.floor && !cand.dead.contains(rank) {
+                            cand.rank_list.insert(rank);
                         }
                     }
                 }
-                LeMsg::Propose { id, value } => proposals.push((*id, *value)),
-                LeMsg::Echo { value, claimed } => {
-                    echo_max = match echo_max {
-                        Some((v, c)) if v > *value => Some((v, c)),
-                        Some((v, c)) if v == *value => Some((v, c || *claimed)),
-                        _ => Some((*value, *claimed)),
-                    };
+                LeMsg::Propose { id, value } => {
+                    proposal_max = fold_max(proposal_max, value, id == value);
                 }
+                LeMsg::Echo { value, claimed } => echo_max = fold_max(echo_max, value, claimed),
                 LeMsg::Announce { .. } => {
                     // Only used by the explicit extension; ignored here.
                 }
@@ -443,8 +556,9 @@ impl Protocol for LeNode {
         }
 
         // Referee role: forward pre-processing ranks, echo proposals.
-        self.referee_drain_forwards(ctx);
-        self.referee_echo(ctx, &proposals);
+        self.referee
+            .drain(|port, rank| ctx.send(port, LeMsg::ForwardRank { rank }));
+        self.referee_echo(ctx, proposal_max);
 
         // Candidate role: process the round's maximum echo, then (on
         // phase-A activations) propose.
@@ -458,7 +572,7 @@ impl Protocol for LeNode {
 
     fn is_terminated(&self) -> bool {
         let cand_done = self.candidate.as_ref().is_none_or(|c| c.settled);
-        cand_done && self.referee.forward_queue.is_empty()
+        cand_done && self.referee.pending == 0
     }
 
     fn is_inert(&self) -> bool {
@@ -584,6 +698,153 @@ impl LeOutcome {
 mod tests {
     use super::*;
     use ftc_sim::adversary::{DeliveryFilter, FaultPlan, ScriptedCrash};
+    use rand::prelude::*;
+    use rand::rngs::SmallRng;
+    use std::collections::BTreeMap;
+
+    /// The referee's original forward schedule: one shared FIFO of
+    /// `(destination, rank)` pairs, drained by a full walk that sends each
+    /// port's first entry and requeues the rest. [`RefereeState`] must
+    /// emit exactly these sends in exactly this order.
+    #[derive(Default)]
+    struct FifoReferee {
+        candidates: Vec<Port>,
+        rank_origin: BTreeMap<Rank, Port>,
+        forward_queue: VecDeque<(Port, Rank)>,
+    }
+
+    impl FifoReferee {
+        fn register(&mut self, from: Port, rank: Rank) {
+            let is_new_port = !self.candidates.contains(&from);
+            if is_new_port {
+                let known: Vec<Rank> = self.rank_origin.keys().copied().collect();
+                for k in known {
+                    if self.rank_origin[&k] != from {
+                        self.forward_queue.push_back((from, k));
+                    }
+                }
+                self.candidates.push(from);
+            }
+            if !self.rank_origin.contains_key(&rank) {
+                for &p in &self.candidates {
+                    if p != from {
+                        self.forward_queue.push_back((p, rank));
+                    }
+                }
+                self.rank_origin.insert(rank, from);
+            }
+        }
+
+        fn drain(&mut self) -> Vec<(Port, Rank)> {
+            let mut sent = Vec::new();
+            let mut used: BTreeSet<Port> = BTreeSet::new();
+            let mut requeue: VecDeque<(Port, Rank)> = VecDeque::new();
+            while let Some((port, rank)) = self.forward_queue.pop_front() {
+                if used.contains(&port) {
+                    requeue.push_back((port, rank));
+                } else {
+                    used.insert(port);
+                    sent.push((port, rank));
+                }
+            }
+            self.forward_queue = requeue;
+            sent
+        }
+    }
+
+    #[test]
+    fn per_slot_queues_replay_the_single_fifo_schedule() {
+        // Random register sequences from a small port pool and a small
+        // rank pool, spread over several rounds with a drain after each,
+        // so that new ports, repeat registers from a known port, one rank
+        // from two ports and registers after forwarding started (what a
+        // tampered extra sender causes) all occur. Every round's sends
+        // must match the reference, until both are empty.
+        let (mut new_ports, mut repeats, mut collisions, mut late) = (0, 0, 0, 0);
+        for case in 0..400u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let mut fifo = FifoReferee::default();
+            let mut slots = RefereeState::default();
+            let ports = rng.random_range(1..=12u32);
+            let rank_pool = rng.random_range(1..=16u64);
+            let register_rounds = rng.random_range(1..=8u32);
+            let mut forwarded = false;
+            for round in 0.. {
+                if round < register_rounds {
+                    for _ in 0..rng.random_range(0..=4u32) {
+                        let from = Port(rng.random_range(0..ports));
+                        let rank = Rank(rng.random_range(1..=rank_pool));
+                        if fifo.candidates.contains(&from) {
+                            repeats += 1;
+                        } else {
+                            new_ports += 1;
+                        }
+                        if fifo.rank_origin.get(&rank).is_some_and(|&o| o != from) {
+                            collisions += 1;
+                        }
+                        if forwarded {
+                            late += 1;
+                        }
+                        fifo.register(from, rank);
+                        slots.register(from, rank);
+                    }
+                }
+                let want = fifo.drain();
+                let mut got = Vec::new();
+                slots.drain(|port, rank| got.push((port, rank)));
+                assert_eq!(got, want, "case {case}, round {round}");
+                assert_eq!(slots.pending, fifo.forward_queue.len(), "case {case}");
+                forwarded |= !want.is_empty();
+                if round >= register_rounds && want.is_empty() {
+                    break;
+                }
+            }
+            assert!(
+                slots.queues.iter().all(|q| q.capacity() == 0),
+                "case {case}: a drained slot kept its buffer"
+            );
+        }
+        for (what, count) in [
+            ("new ports", new_ports),
+            ("repeat registers", repeats),
+            ("rank collisions", collisions),
+            ("registers after forwarding started", late),
+        ] {
+            assert!(count >= 50, "only {count} {what} generated");
+        }
+    }
+
+    #[test]
+    fn rank_set_matches_btreeset() {
+        for case in 0..300u64 {
+            let mut rng = SmallRng::seed_from_u64(case);
+            let mut set = RankSet::default();
+            let mut model: BTreeSet<Rank> = BTreeSet::new();
+            let domain = rng.random_range(1..=64u64);
+            for step in 0..200 {
+                let r = Rank(rng.random_range(0..=domain));
+                match rng.random_range(0..10u32) {
+                    0..=3 => assert_eq!(set.insert(r), model.insert(r), "case {case}"),
+                    4 => assert_eq!(set.remove(r), model.remove(&r), "case {case}"),
+                    5 => assert_eq!(set.contains(r), model.contains(&r), "case {case}"),
+                    6 => {
+                        set.drop_below(r);
+                        model = model.split_off(&r);
+                    }
+                    7 => assert_eq!(
+                        set.at_or_above(r),
+                        model.range(r..).next().copied(),
+                        "case {case}"
+                    ),
+                    _ => assert_eq!(set.first(), model.first().copied(), "case {case}"),
+                }
+                assert!(
+                    set.iter().eq(model.iter().copied()),
+                    "case {case}, step {step}: {set:?} vs {model:?}"
+                );
+            }
+        }
+    }
 
     fn run_le(n: u32, alpha: f64, seed: u64, adv: &mut dyn Adversary<LeMsg>) -> RunResult<LeNode> {
         let params = Params::new(n, alpha).unwrap();

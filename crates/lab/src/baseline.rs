@@ -2,11 +2,12 @@
 //! `BENCH_agreement.json` at the repo root.
 //!
 //! Each file is an append-only trajectory of campaign runs: one entry
-//! per (spec hash, record id) pair, carrying the per-cell success rate,
+//! per (record id, git rev) pair, carrying the per-cell success rate,
 //! message/round summaries, wall clock and throughput, plus provenance
-//! (git rev, seed). Re-exporting an unchanged run is a no-op; a changed
-//! measurement (new code, new spec) appends, so the file accumulates the
-//! perf history of the protocols across the repo's life.
+//! (git rev, seed). Re-exporting a run at the same revision is a no-op;
+//! a measurement at another revision appends, even when only its wall
+//! clocks changed, so the file accumulates the perf history of the
+//! protocols across the repo's life.
 
 use std::fs;
 use std::io;
@@ -272,12 +273,19 @@ pub fn perf_gate(
 }
 
 /// Appends `record` to the trajectory at `path` (creating it if absent).
-/// Idempotent per record id: exporting the same measurement twice keeps
-/// one entry. Returns the number of entries now in the file.
+/// Idempotent per (record id, git rev): exporting the same run twice at
+/// one revision keeps one entry, while a re-measurement at another
+/// revision appends even when its deterministic payload, and so its id,
+/// is unchanged — a pure speed-up moves only the wall clocks. Returns
+/// the number of entries now in the file.
 pub fn export(record: &CampaignRecord, path: &Path) -> io::Result<usize> {
     let mut entries = load_entries(path)?;
     let id = Json::Str(record.id());
-    if !entries.iter().any(|e| e.get("id") == Some(&id)) {
+    let rev = Json::Str(record.git_rev.clone());
+    if !entries
+        .iter()
+        .any(|e| e.get("id") == Some(&id) && e.get("git_rev") == Some(&rev))
+    {
         entries.push(record_entry(record));
     }
     let count = entries.len();
@@ -318,6 +326,14 @@ mod tests {
         assert_eq!(export(&record(1), &path).unwrap(), 1);
         assert_eq!(export(&record(1), &path).unwrap(), 1, "same id dedupes");
         assert_eq!(export(&record(2), &path).unwrap(), 2, "new id appends");
+        let mut later = record(1);
+        later.git_rev = format!("{}-later", later.git_rev);
+        assert_eq!(
+            export(&later, &path).unwrap(),
+            3,
+            "same id at another revision appends"
+        );
+        assert_eq!(export(&later, &path).unwrap(), 3, "and then dedupes");
         let text = fs::read_to_string(&path).unwrap();
         let json = Json::parse(&text).unwrap();
         assert_eq!(
@@ -325,7 +341,7 @@ mod tests {
             "ftc-lab-bench/v1"
         );
         let entries = json.field("entries").unwrap().as_arr().unwrap();
-        assert_eq!(entries.len(), 2);
+        assert_eq!(entries.len(), 3);
         let cell = &entries[0].field("cells").unwrap().as_arr().unwrap()[0];
         assert!(cell.get("success_rate").is_some());
         assert!(cell.field("msgs").unwrap().get("median").is_some());
